@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the pipeline's design choices.
 
 Not a table in the paper, but the paper's architecture argument ("syntactic
 rewrites alone cannot infer loop parameters"; "the arithmetic component needs

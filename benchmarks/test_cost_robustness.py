@@ -18,7 +18,7 @@ pytestmark = pytest.mark.table1
 #: A representative subset of the models the paper reports as structured.
 #: (For the models with no repetitive structure, the reward-loops cost can
 #: surface a spurious two-element loop that the default cost suppresses — a
-#: small divergence from the paper recorded in EXPERIMENTS.md, so they are
+#: small divergence from the paper recorded in README.md, so they are
 #: compared on the structured side only.)
 _SUBSET = [
     "card-org",

@@ -6,7 +6,7 @@ structured program; and in aggregate a 64% average size reduction with
 structure exposed for 81% (13/16) of the models.  This harness re-runs the
 whole suite and checks those aggregate shapes; per-model rows are printed so
 they can be compared side by side with the paper's table (see
-EXPERIMENTS.md).
+README.md, "Table 1 reproduction").
 """
 
 import pytest

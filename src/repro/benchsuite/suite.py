@@ -257,7 +257,7 @@ BENCHMARKS: List[Benchmark] = [
         notes=(
             "enclosure with two clip posts; the paper reports the two-element "
             "loop at rank 4, in this reproduction it falls just below the "
-            "top-5 cut-off (see EXPERIMENTS.md)"
+            "top-5 cut-off (see README.md, Table 1 reproduction)"
         ),
     ),
     Benchmark(

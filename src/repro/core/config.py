@@ -79,16 +79,6 @@ class SynthesisConfig:
     #: ``incremental_search``.
     incremental_extraction: bool = True
 
-    #: Search-worker processes per saturation run (0 = serial).  The runner
-    #: fans the compiled trie search out over a shared-memory snapshot of
-    #: the flat e-graph (:mod:`repro.egraph.parallel`); match sets are
-    #: byte-identical to the serial path (``tests/test_parallel_search.py``
-    #: pins the parity), so this is a pure throughput knob.  Callers running
-    #: multiple concurrent jobs clamp it with
-    #: :func:`repro.egraph.parallel.clamp_search_workers` so
-    #: ``jobs × search_workers`` never exceeds the machine's cores.
-    search_workers: int = 0
-
     #: Rule categories to enable (see :func:`repro.core.rules.rules_by_category`).
     rule_categories: Tuple[str, ...] = (
         "affine-lifting",
@@ -144,19 +134,18 @@ class SynthesisConfig:
     def semantic_dict(self) -> Dict[str, object]:
         """The fields that can change *what* is synthesized (cache identity).
 
-        ``incremental_search``, ``incremental_extraction``, ``apply_dedup``,
-        and ``search_workers`` are excluded: they only change how e-matching
-        / best-cost bookkeeping / match re-application is scheduled (or on
-        how many cores the search runs), and the differential suites pin
-        their results as identical to the post-hoc computations — so all
-        settings may share cache entries.  Extraction knobs that *do*
-        change the output (``top_k``, ``cost_function``) stay in.
+        ``incremental_search``, ``incremental_extraction`` and
+        ``apply_dedup`` are excluded: they only change how e-matching /
+        best-cost bookkeeping / match re-application is scheduled, and the
+        differential suites pin their results as identical to the post-hoc
+        computations — so all settings may share cache entries.
+        Extraction knobs that *do* change the output (``top_k``,
+        ``cost_function``) stay in.
         """
         out = self.to_dict()
         out.pop("incremental_search")
         out.pop("incremental_extraction")
         out.pop("apply_dedup")
-        out.pop("search_workers")
         return out
 
     def fingerprint(self) -> str:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.egraph.egraph import EGraph, ENode
-from repro.egraph.extract import Extractor, ast_size_cost
+from repro.egraph.extract import ExtractionError, Extractor, ast_size_cost
 from repro.lang.normal import AFFINE_OPS, affine_signature, signature_sort_key
 from repro.lang.term import Term
 
@@ -146,7 +146,7 @@ class Determinizer:
         if not signature:
             try:
                 term = self._extractor.extract(class_id)
-            except Exception:
+            except ExtractionError:
                 return None
             # Reject terms that still start with an affine operator when an
             # empty signature was requested only if no alternative exists —
@@ -161,7 +161,7 @@ class Determinizer:
             for arg in enode.args[:3]:
                 try:
                     vector_terms.append(self._extractor.extract(arg))
-                except Exception:
+                except ExtractionError:
                     ok = False
                     break
             if not ok:

@@ -306,16 +306,15 @@ class _SearchContext:
     list build per search, then every Descend/Check step is a list index.
     """
 
-    __slots__ = ("flat_nodes", "resolved", "parents", "enabled", "out", "match_type")
+    __slots__ = ("flat_nodes", "resolved", "parents", "enabled", "out")
 
-    def __init__(self, egraph, slot_ops, enabled, out, match_type) -> None:
+    def __init__(self, egraph, slot_ops, enabled, out) -> None:
         self.flat_nodes = egraph.flat_nodes
         get = egraph.symbols.get
         self.resolved: List[Optional[int]] = [get(op) for op in slot_ops]
         self.parents = egraph._union_find.parents
         self.enabled = enabled
         self.out = out
-        self.match_type = match_type
 
 
 class _TrieNode:
@@ -443,24 +442,6 @@ class CompiledRuleSet:
     def _count_nodes(self, node: _TrieNode) -> int:
         return 1 + sum(self._count_nodes(child) for child in node.children.values())
 
-    # -- pickling ---------------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        """Pickle without the rule objects.
-
-        Dynamic rewrites close over arbitrary appliers/guards (lambdas),
-        which do not pickle — and the search path never touches them: it
-        needs only the trie, the operator slots, and the rule names.  A
-        search-worker process therefore receives a compiled set whose
-        ``rules`` is ``None``; applying matches stays in the parent.
-        """
-        state = dict(self.__dict__)
-        state["rules"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
     # -- searching --------------------------------------------------------------
 
     def search_classes(
@@ -468,8 +449,7 @@ class CompiledRuleSet:
         egraph: EGraph,
         class_ids: Optional[Iterable[int]] = None,
         enabled: Optional[Set[str]] = None,
-        match_type=None,
-    ) -> Dict[str, List]:
+    ) -> Dict[str, List[RewriteMatch]]:
         """Match every compiled pattern against a set of candidate classes.
 
         ``class_ids`` restricts the search (``None`` means the whole graph,
@@ -484,19 +464,7 @@ class CompiledRuleSet:
         per search, the node loops compare integers, and argument ids are
         canonicalized with an inlined path-compressed find (see
         :mod:`repro.egraph.symbols` and the e-graph module docstring).
-
-        ``match_type`` overrides the match constructor — the parallel search
-        workers (:mod:`repro.egraph.parallel`) pass a plain-tuple builder so
-        results cross process boundaries without pickling match objects.
-        ``egraph`` may then be any object with the e-graph's search surface
-        (``find`` / ``flat_nodes`` / ``symbols.get``/ ``_union_find.parents``),
-        e.g. a shared-memory snapshot.
         """
-        if match_type is None:
-            from repro.egraph.rewrite import RewriteMatch  # local: avoids an import cycle
-
-            match_type = RewriteMatch
-
         if enabled is None:
             enabled_indices: Optional[Set[int]] = None
         else:
@@ -510,11 +478,11 @@ class CompiledRuleSet:
                     candidates.update(egraph.classes_with_op(op))
         else:
             candidates = {egraph.find(class_id) for class_id in class_ids}
-        out: Dict[int, List] = {
+        out: Dict[int, List[RewriteMatch]] = {
             i: [] for i in range(len(self.rule_names))
             if enabled_indices is None or i in enabled_indices
         }
-        ctx = _SearchContext(egraph, self._slot_ops, enabled_indices, out, match_type)
+        ctx = _SearchContext(egraph, self._slot_ops, enabled_indices, out)
         symbols = egraph.symbols
         # Root trie edges re-keyed by this graph's interned op ids; an
         # operator the graph has never interned cannot match anywhere.
@@ -531,7 +499,7 @@ class CompiledRuleSet:
         enabled = ctx.enabled
         for entry in self._root.yields:  # bare-variable patterns match any class
             if enabled is None or entry[0] in enabled:
-                self._emit(entry, [class_id], class_id, ctx.out, ctx.match_type)
+                self._emit(entry, [class_id], class_id, ctx.out)
         regs = [class_id]
         for op_id in {node[0] for node in ctx.flat_nodes(class_id)}:
             edges = root_edges.get(op_id)
@@ -539,17 +507,17 @@ class CompiledRuleSet:
                 for instruction, child, slot in edges:
                     self._step(ctx, instruction, child, slot, regs, class_id)
 
-    def _emit(self, entry, regs, class_id, out, match_type) -> None:
+    def _emit(self, entry, regs, class_id, out) -> None:
         index, reverse, varmap = entry
         out[index].append(
-            match_type(class_id, {name: regs[reg] for name, reg in varmap}, reverse)
+            RewriteMatch(class_id, {name: regs[reg] for name, reg in varmap}, reverse)
         )
 
     def _execute(self, ctx, node, regs, class_id) -> None:
         enabled = ctx.enabled
         for entry in node.yields:
             if enabled is None or entry[0] in enabled:
-                self._emit(entry, regs, class_id, ctx.out, ctx.match_type)
+                self._emit(entry, regs, class_id, ctx.out)
         for instruction, child, slot in node.edges:
             self._step(ctx, instruction, child, slot, regs, class_id)
 
@@ -611,13 +579,8 @@ class IncrementalMatcher:
     a given e-graph at a time.
     """
 
-    def __init__(self, compiled: CompiledRuleSet, searcher=None) -> None:
+    def __init__(self, compiled: CompiledRuleSet) -> None:
         self.compiled = compiled
-        #: Optional ``search_classes`` provider substituted for the compiled
-        #: set — the parallel search pool (:mod:`repro.egraph.parallel`)
-        #: plugs in here.  Must return byte-identical results to
-        #: :meth:`CompiledRuleSet.search_classes` (the pool guarantees it).
-        self.searcher = compiled if searcher is None else searcher
         self._epoch = 0
         self._rule_epoch: Dict[str, int] = {}
         #: rule name -> canonical class id -> cached matches in that class.
@@ -682,7 +645,7 @@ class IncrementalMatcher:
                 for class_id in stale:
                     cache.pop(class_id, None)
             if closure:
-                recomputed = self.searcher.search_classes(
+                recomputed = self.compiled.search_classes(
                     egraph, class_ids=closure, enabled=set(incremental)
                 )
                 for name, matches in recomputed.items():
@@ -691,7 +654,7 @@ class IncrementalMatcher:
                         cache.setdefault(match.class_id, []).append(match)
                     stats.recomputed_matches += len(matches)
         if full:
-            swept = self.searcher.search_classes(egraph, enabled=set(full))
+            swept = self.compiled.search_classes(egraph, enabled=set(full))
             for name, matches in swept.items():
                 grouped: Dict[int, List] = {}
                 for match in matches:
@@ -710,3 +673,8 @@ class IncrementalMatcher:
         stats.cached_matches = sum(len(m) for m in results.values()) - stats.recomputed_matches
         self.last_stats = stats
         return results
+
+
+# Imported last: ``repro.egraph.rewrite`` imports this module's names at load
+# time, and the package ``__init__`` always loads this module first.
+from repro.egraph.rewrite import RewriteMatch  # noqa: E402

@@ -14,7 +14,11 @@ The value stored is the JSON form of
 
 Writes go through a temporary file + ``os.replace`` so a crashed or killed
 worker driver never leaves a torn entry behind; unreadable entries are
-treated as misses and removed.
+treated as misses and removed.  So are entries that no longer rebuild into
+a :class:`~repro.core.pipeline.SynthesisResult`
+(:meth:`ResultCache.lookup_result`): a payload written by an older version
+may carry fields that have since been retired, and removing a field that
+never entered the cache key leaves the key unchanged.
 
 The disk tier can be bounded (``max_entries``/``max_bytes``): when a store
 pushes it over either limit, least-recently-used entries are evicted, with
@@ -46,9 +50,10 @@ import json
 import os
 from collections import OrderedDict, deque
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.config import SynthesisConfig
+from repro.core.pipeline import SynthesisResult
 from repro.lang.canon import fingerprint_text, semantic_fingerprint, term_fingerprint
 from repro.lang.term import Term
 
@@ -120,15 +125,37 @@ class ResultCache:
 
     # -- lookup ---------------------------------------------------------------
 
-    def _probe(self, key: str) -> Optional[dict]:
+    def _probe(
+        self, key: str, rebuild: Optional[Callable[[dict], object]] = None
+    ) -> Tuple[Optional[dict], object]:
         """Read ``key`` from memory or disk without touching hit/miss totals.
 
+        Returns ``(payload, rebuild(payload))`` (``(payload, None)`` without
+        a ``rebuild``).  An entry ``rebuild`` rejects with ``TypeError``,
+        ``ValueError`` or ``KeyError`` is dropped from both tiers like an
+        unreadable one, and the probe misses.
+
         The memory/disk *origin* counters are maintained here; the callers
-        (:meth:`get`, :meth:`lookup`) decide whether the probe amounts to an
-        exact hit, a semantic hit, or a miss.
+        (:meth:`get`, :meth:`lookup`, :meth:`lookup_result`) decide whether
+        the probe amounts to an exact hit, a semantic hit, or a miss.
         """
         payload = self._memory.get(key)
-        if payload is not None:
+        in_memory = payload is not None
+        if not in_memory:
+            payload = self._read_disk(key)
+            if payload is None:
+                return None, None
+        rebuilt = None
+        if rebuild is not None:
+            try:
+                rebuilt = rebuild(payload)
+            except (TypeError, ValueError, KeyError):
+                self._memory.pop(key, None)
+                path = self._path(key)
+                if path is not None:
+                    self._drop_entry(path)
+                return None, None
+        if in_memory:
             self._memory.move_to_end(key)
             if self._bounded():
                 # A memory-tier hit is still a use of the disk entry: keep
@@ -137,13 +164,10 @@ class ResultCache:
                 # from memory and then miss in the next process.
                 self._touch(self._path(key))
             self.memory_hits += 1
-            return payload
-        payload = self._read_disk(key)
-        if payload is not None:
+        else:
             self._remember(key, payload)
             self.disk_hits += 1
-            return payload
-        return None
+        return payload, rebuilt
 
     def get(self, key: str) -> Optional[dict]:
         """The stored payload for ``key``, or None (counted as a miss).
@@ -152,7 +176,7 @@ class ResultCache:
         callers see identical behavior.  Use :meth:`lookup` to consult the
         semantic level as well.
         """
-        payload = self._probe(key)
+        payload, _ = self._probe(key)
         if payload is not None:
             self.hits += 1
             self.exact_hits += 1
@@ -170,24 +194,45 @@ class ResultCache:
         when the exact probe misses (and only when the tier is enabled), so
         inputs that hit exactly never pay the pointer indirection.
         """
-        payload = self._probe(key)
+        payload, _, tier = self._lookup(key, semantic_key)
+        return payload, tier
+
+    def lookup_result(
+        self, key: str, semantic_key: Optional[str] = None
+    ) -> Tuple[Optional[dict], Optional[SynthesisResult], Optional[str]]:
+        """:meth:`lookup` for synthesis results: ``(payload, result, tier)``.
+
+        A payload that no longer rebuilds — ``SynthesisResult.from_dict``
+        stays strict about unknown fields — is a miss, and its entry is
+        dropped, so the caller recomputes and the store overwrites it.
+        """
+        return self._lookup(key, semantic_key, SynthesisResult.from_dict)
+
+    def _lookup(
+        self,
+        key: str,
+        semantic_key: Optional[str],
+        rebuild: Optional[Callable[[dict], object]] = None,
+    ) -> Tuple[Optional[dict], object, Optional[str]]:
+        payload, rebuilt = self._probe(key, rebuild)
         if payload is not None:
             self.hits += 1
             self.exact_hits += 1
-            return payload, "exact"
+            return payload, rebuilt, "exact"
         if self.semantic and semantic_key is not None:
             exact_key = self._resolve_semantic(semantic_key)
             if exact_key is not None:
-                payload = self._probe(exact_key)
+                payload, rebuilt = self._probe(exact_key, rebuild)
                 if payload is not None:
                     self.hits += 1
                     self.semantic_hits += 1
-                    return payload, "semantic"
+                    return payload, rebuilt, "semantic"
                 # Dangling pointer: the exact entry was evicted (or removed
-                # as corrupt).  Drop the pointer so the next store rebinds.
+                # as corrupt or stale).  Drop the pointer so the next store
+                # rebinds.
                 self._drop_semantic(semantic_key)
         self.misses += 1
-        return None, None
+        return None, None, None
 
     def put(self, key: str, payload: dict, semantic_key: Optional[str] = None) -> None:
         """Store ``payload`` under ``key`` in both tiers.

@@ -27,7 +27,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.pipeline import SynthesisResult
 from repro.obs.histogram import MetricsAggregator
 from repro.service.cache import ResultCache, cache_key, semantic_cache_key
 from repro.service.job import JobEvent, JobResult, JobStatus, SynthesisJob
@@ -175,7 +174,7 @@ class SynthesisService:
                 )
                 semantic_keys[job.job_id] = semantic_key
                 lookup_start = time.perf_counter()
-                payload, tier = self.cache.lookup(key, semantic_key)
+                payload, result, tier = self.cache.lookup_result(key, semantic_key)
                 if payload is not None:
                     self.metrics.ingest(
                         model=job.name,
@@ -186,7 +185,7 @@ class SynthesisService:
                         job_id=job.job_id,
                         name=job.name,
                         status=JobStatus.SUCCEEDED,
-                        result=SynthesisResult.from_dict(payload),
+                        result=result,
                         cached=True,
                         cache_tier=tier,
                     )

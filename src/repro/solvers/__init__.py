@@ -12,7 +12,7 @@ All fits must hold within an explicit tolerance ``epsilon`` (default 0.001),
 because real inputs carry floating-point noise from mesh decompilation.  The
 paper uses Z3 for the polynomial forms; offline we solve the identical
 feasibility question with exact linear algebra plus coefficient
-rationalization (see ``DESIGN.md``, "Substitutions").  The trigonometric
+rationalization (:mod:`repro.solvers.polynomial`).  The trigonometric
 solver follows the paper: non-linear least squares with an SVD-based
 Gauss–Newton refinement, judged by the coefficient of determination R².
 """

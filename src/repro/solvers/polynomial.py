@@ -1,7 +1,7 @@
 """Polynomial closed-form fitting under an epsilon tolerance.
 
-This module replaces Z3 in the original system (see DESIGN.md).  The original
-encodes, for each observation ``x_j`` at index ``i_j``::
+This module replaces Z3 in the original system.  The original encodes, for
+each observation ``x_j`` at index ``i_j``::
 
     (a*i_j + b) - eps <= x_j <= (a*i_j + b) + eps        (degree 1)
     (a*i_j^2 + b*i_j + c) - eps <= x_j <= ... + eps       (degree 2)

@@ -48,7 +48,7 @@ class TestSuiteDefinitions:
     def test_structured_majority(self):
         # The paper exposes structure for 13 of 16 models (81%); this
         # reproduction recovers it for 12 (the relay-box loop falls just
-        # outside the top-5, see EXPERIMENTS.md).
+        # outside the top-5, see README.md, "Table 1 reproduction").
         structured = sum(1 for b in BENCHMARKS if b.expects_structure)
         assert structured == 12
 

@@ -3,9 +3,11 @@ cost functions, and program analysis."""
 
 import pytest
 
+from repro.benchsuite.models import fig2_translated_cubes
 from repro.cad.build import cons_list, fold_union, fun, int_list, mapi, repeat, fold, nil
 from repro.core.analysis import find_loops, function_kinds
 from repro.core.cost import COST_FUNCTIONS, ast_size_cost_fn, get_cost_function, reward_loops_cost_fn
+import repro.core.determinize as determinize_module
 from repro.core.determinize import Determinizer, chain_uniform
 from repro.core.lists import (
     ListReadError,
@@ -15,9 +17,11 @@ from repro.core.lists import (
     read_list_elements,
 )
 from repro.core.listmanip import apply_list_manipulation, group_by_component, sort_elements
+from repro.core.pipeline import synthesize
 from repro.core.rules import default_rules
 from repro.csg.build import cube, rotate, scale, sphere, translate, union, union_all, unit
 from repro.egraph.egraph import EGraph, ENode
+from repro.egraph.extract import ExtractionError, Extractor
 from repro.egraph.runner import Runner
 from repro.lang.term import Term
 
@@ -98,6 +102,27 @@ class TestDeterminizer:
     def test_empty_input(self):
         egraph = EGraph()
         assert Determinizer(egraph).determinize([]) is None
+
+    def test_extraction_error_abandons_the_signature(self, monkeypatch):
+        # A class with no extractable term only rules out that signature.
+        def no_term(self, class_id):
+            raise ExtractionError(f"no extractable term for e-class {class_id}")
+
+        elements = [translate(2.0 * i, 0, 0, cube()) for i in range(1, 4)]
+        egraph, element_classes = self._folded_egraph(elements)
+        monkeypatch.setattr(Extractor, "extract", no_term)
+        assert Determinizer(egraph).determinize(element_classes) is None
+
+    def test_other_inference_errors_propagate_out_of_synthesize(self, monkeypatch):
+        # Only ExtractionError means "no term"; any other error is a bug in
+        # the inference layer and must surface instead of being swallowed.
+        class BrokenExtractor(Extractor):
+            def extract(self, class_id):
+                raise ZeroDivisionError("extractor bug")
+
+        monkeypatch.setattr(determinize_module, "Extractor", BrokenExtractor)
+        with pytest.raises(ZeroDivisionError, match="extractor bug"):
+            synthesize(fig2_translated_cubes(5))
 
 
 class TestListManipulation:
