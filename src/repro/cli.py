@@ -182,7 +182,6 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         worker_count=args.jobs,
         cache=cache,
         on_event=_print_event if args.progress else None,
-        persistent=args.persistent_workers,
         mutate=mutate,
     )
     print(format_table(report.rows, report.failures))
@@ -244,7 +243,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         worker_count=args.jobs,
         cache=cache,
         on_event=_print_event,
-        persistent=args.persistent_workers,
         trace=bool(args.trace),
     )
     batch = service.run_batch(jobs)
@@ -576,11 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=0,
         help="worker processes (0 = run in-process)",
     )
-    table1.add_argument(
-        "--persistent-workers", action="store_true",
-        help="keep worker processes alive across jobs within the batch "
-        "(amortizes startup; crashed workers are respawned)",
-    )
     table1.add_argument("--cache", help="content-addressed result cache directory")
     table1.add_argument(
         "--cache-max-mb", type=float, default=None,
@@ -620,11 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--jobs", type=int, default=0, help="worker processes (0 = run in-process)"
-    )
-    batch.add_argument(
-        "--persistent-workers", action="store_true",
-        help="keep worker processes alive across jobs within the batch "
-        "(amortizes startup; crashed workers are respawned)",
     )
     batch.add_argument("--cache", help="content-addressed result cache directory")
     batch.add_argument(

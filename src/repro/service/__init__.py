@@ -3,8 +3,9 @@
 Turns the one-shot :func:`repro.core.pipeline.synthesize` entry point into a
 throughput-oriented service: a priority :class:`~repro.service.queue.JobQueue`
 of :class:`~repro.service.job.SynthesisJob`\\ s, a process-parallel
-:class:`~repro.service.worker.WorkerPool` with per-job failure isolation and
-hard timeouts, and a content-addressed two-tier
+:class:`~repro.service.worker.ResidentPool` of long-lived workers with
+per-job failure isolation and hard timeouts (shared by batches and the
+daemon), and a content-addressed two-tier
 :class:`~repro.service.cache.ResultCache`, orchestrated by
 :class:`~repro.service.service.SynthesisService`.
 
@@ -25,7 +26,6 @@ from repro.service.queue import JobQueue
 from repro.service.service import BatchReport, SynthesisService
 from repro.service.worker import (
     ResidentPool,
-    WorkerPool,
     execute_payload,
     run_jobs_inline,
 )
@@ -44,7 +44,6 @@ __all__ = [
     "SynthesisDaemon",
     "SynthesisJob",
     "SynthesisService",
-    "WorkerPool",
     "cache_key",
     "execute_payload",
     "recv_frame",

@@ -121,6 +121,7 @@ class ResultCache:
         self.exact_hits = 0
         self.semantic_hits = 0
         self.stores = 0
+        self.write_failures = 0
         self.evictions = 0
 
     # -- lookup ---------------------------------------------------------------
@@ -239,13 +240,24 @@ class ResultCache:
 
         With a ``semantic_key`` (and the tier enabled), additionally bind
         that key to ``key`` so semantically equal inputs find this entry.
+        A disk write that fails with ``OSError`` is counted in
+        ``write_failures`` instead of raised.
         """
         self._remember(key, payload)
-        self._write_disk(key, payload)
         self.stores += 1
-        if self.semantic and semantic_key is not None:
+        bind_semantic = self.semantic and semantic_key is not None
+        if bind_semantic:
             self._remember_semantic(semantic_key, key)
-            self._write_semantic(semantic_key, key)
+        try:
+            self._write_disk(key, payload)
+            if bind_semantic:
+                self._write_semantic(semantic_key, key)
+        except OSError:
+            # A full or read-only disk costs persistence, not the result:
+            # the memory tier still serves it, just as an unreadable entry
+            # is a miss on read.  Raising here would sink a computed batch
+            # or the daemon's scheduler thread.
+            self.write_failures += 1
 
     def __contains__(self, key: str) -> bool:
         """Presence check that does not touch the hit/miss counters."""
@@ -313,12 +325,8 @@ class ResultCache:
 
     def _write_semantic(self, semantic_key: str, exact_key: str) -> None:
         path = self._semantic_path(semantic_key)
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps({"key": exact_key}))
-        os.replace(tmp, path)
+        if path is not None:
+            self._atomic_write(path, json.dumps({"key": exact_key}))
 
     def _drop_semantic(self, semantic_key: str) -> None:
         self._semantic_memory.pop(semantic_key, None)
@@ -346,6 +354,22 @@ class ResultCache:
         return payload
 
     @staticmethod
+    def _atomic_write(path: Path, text: str) -> None:
+        """Write via a temporary file + ``os.replace``; a failed write
+        leaves neither a torn entry nor a stray temporary file."""
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, path)
+        except OSError:
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
+            raise
+
+    @staticmethod
     def _touch(path: Optional[Path]) -> None:
         if path is None:
             return
@@ -358,16 +382,13 @@ class ResultCache:
         path = self._path(key)
         if path is None:
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
         text = json.dumps(payload)
-        tmp.write_text(text)
         old_size = None
         try:
             old_size = path.stat().st_size
         except OSError:
             pass
-        os.replace(tmp, path)
+        self._atomic_write(path, text)
         if self._disk_usage is not None:
             entries, used = self._disk_usage
             if old_size is None:
@@ -509,6 +530,7 @@ class ResultCache:
             "semantic_hits": self.semantic_hits,
             "semantic": self.semantic,
             "stores": self.stores,
+            "write_failures": self.write_failures,
             "evictions": self.evictions,
             "hit_rate": self.hit_rate,
             "memory_entries": len(self._memory),

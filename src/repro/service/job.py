@@ -18,7 +18,6 @@ stream the service emits while a batch runs.
 from __future__ import annotations
 
 import itertools
-import traceback
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -54,9 +53,10 @@ class SynthesisJob:
     #: Higher-priority jobs are dispatched first (ties run in submission order).
     priority: int = 0
     #: Hard per-job wall-clock limit in seconds.  Enforced by killing the
-    #: worker process when running under a :class:`~repro.service.worker.WorkerPool`;
-    #: the inline executor can only honor it cooperatively, by clamping the
-    #: config's ``max_seconds`` fuel.
+    #: worker process when running under a
+    #: :class:`~repro.service.worker.ResidentPool`; the inline executor can
+    #: only honor it cooperatively, by clamping the config's ``max_seconds``
+    #: fuel.
     timeout: Optional[float] = None
     #: When True the worker records a per-phase span trace of the job
     #: (``repro.obs``) and ships it back on :attr:`JobResult.trace`.
@@ -165,16 +165,6 @@ class JobResult:
                 "size_reduction": self.result.size_reduction(),
             }
         return out
-
-    @staticmethod
-    def from_failure(job: "SynthesisJob", exc: BaseException) -> "JobResult":
-        """A failed result capturing the current exception's traceback."""
-        return JobResult(
-            job_id=job.job_id,
-            name=job.name,
-            status=JobStatus.FAILED,
-            error="".join(traceback.format_exception(type(exc), exc, exc.__traceback__)),
-        )
 
 
 @dataclass(frozen=True)

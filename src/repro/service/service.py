@@ -10,9 +10,10 @@ harness sit on.  For every submitted job it:
    and its duplicates are served the same outcome (``cache_tier="batch"``)
    without running;
 3. dispatches the representatives to a
-   :class:`~repro.service.worker.WorkerPool` (``worker_count >= 1``) or the
-   inline executor (``worker_count == 0``), streaming
-   :class:`~repro.service.job.JobEvent`\\ s to the caller;
+   :class:`~repro.service.worker.ResidentPool` (``worker_count >= 1``) or
+   the inline executor (``worker_count == 0``), streaming
+   :class:`~repro.service.job.JobEvent`\\ s to the caller on the calling
+   thread;
 4. writes every fresh success back into the cache and assembles a
    :class:`BatchReport` with per-job outcomes in submission order.
 
@@ -25,12 +26,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from queue import SimpleQueue
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs.histogram import MetricsAggregator
 from repro.service.cache import ResultCache, cache_key, semantic_cache_key
 from repro.service.job import JobEvent, JobResult, JobStatus, SynthesisJob
-from repro.service.worker import EventCallback, WorkerPool, run_jobs_inline, _emit
+from repro.service.queue import JobQueue
+from repro.service.worker import EventCallback, ResidentPool, run_jobs_inline, _emit
 
 
 @dataclass
@@ -117,7 +120,6 @@ class SynthesisService:
         worker_count: int = 0,
         cache: Optional[ResultCache] = None,
         on_event: Optional[EventCallback] = None,
-        persistent: bool = False,
         trace: bool = False,
     ):
         if worker_count < 0:
@@ -125,10 +127,6 @@ class SynthesisService:
         self.worker_count = worker_count
         self.cache = cache
         self.on_event = on_event
-        #: Keep worker processes alive across jobs within a batch (see
-        #: :class:`~repro.service.worker.WorkerPool`); ignored when
-        #: ``worker_count == 0``.
-        self.persistent = persistent
         #: When True every executed job runs with per-phase span tracing and
         #: ships its trace back on :attr:`JobResult.trace`; the trace flag is
         #: not part of the cache identity.
@@ -205,8 +203,7 @@ class SynthesisService:
             if self.worker_count == 0:
                 executed = run_jobs_inline(to_run, self.on_event)
             else:
-                pool = WorkerPool(self.worker_count, persistent=self.persistent)
-                executed = pool.run(to_run, self.on_event)
+                executed = self._run_on_pool(to_run)
             for job in to_run:
                 outcome = executed[job.job_id]
                 results[job.job_id] = outcome
@@ -247,6 +244,32 @@ class SynthesisService:
             cache=self.cache.stats() if self.cache is not None else {},
             metrics=self.metrics.snapshot(),
         )
+
+    def _run_on_pool(self, jobs: Sequence[SynthesisJob]) -> Dict[str, JobResult]:
+        """Fan ``jobs`` out over a :class:`ResidentPool` started for this batch.
+
+        Submission is in scheduling order, because the pool may start the
+        first job before later ones arrive.  Events are relayed through a
+        queue so ``on_event`` runs on the calling thread; if the wait raises,
+        the pool is force-stopped so no worker outlives the batch.
+        """
+        updates: SimpleQueue = SimpleQueue()
+        pool = ResidentPool(min(self.worker_count, len(jobs))).start()
+        results: Dict[str, JobResult] = {}
+        try:
+            for job in JobQueue(jobs).drain():
+                pool.submit(job, lambda _job, result: updates.put(result), updates.put)
+            while len(results) < len(jobs):
+                update = updates.get()
+                if isinstance(update, JobEvent):
+                    _emit(self.on_event, update)
+                else:
+                    results[update.job_id] = update
+        except BaseException:
+            pool.shutdown(drain=False)
+            raise
+        pool.shutdown(drain=True)
+        return results
 
     @staticmethod
     def _reject_duplicate_ids(jobs: Sequence[SynthesisJob]) -> None:

@@ -6,34 +6,25 @@ exception inside the pipeline is captured as a ``"failed"`` outcome with the
 full traceback — so the contract between parent and worker is "a dict always
 comes back (unless the process itself died)".
 
-:class:`WorkerPool` fans payloads out across OS processes, one process per
-job (filled up to ``worker_count`` concurrent slots).  A fresh process per
-job is the isolation boundary the batch service needs: a job that corrupts
-interpreter state, leaks memory, segfaults, or hits its hard timeout takes
-down only its own process; the parent reaps the corpse and reports a
-failed/timed-out :class:`~repro.service.job.JobResult` while the rest of the
-batch keeps running.
+:class:`ResidentPool` is the one worker pool.  It keeps a crew of
+long-lived worker processes and streams job payloads to them over duplex
+pipes, so interpreter and import startup is paid once per worker, not once
+per job.  A resident scheduler thread accepts submissions from any thread
+at any time and reports each completion through the submission's own
+callbacks.  Both the daemon and :meth:`SynthesisService.run_batch
+<repro.service.service.SynthesisService.run_batch>` (``worker_count >= 1``)
+are clients of it.
 
-With ``persistent=True`` the pool instead keeps ``worker_count`` long-lived
-worker processes alive for the duration of the batch and streams job
-payloads to them over duplex pipes — amortizing interpreter/import startup
-across the whole batch instead of paying it per job.  The crash-isolation
-contract is unchanged: a persistent worker that dies mid-job (crash,
-segfault, or a hard timeout kill) takes down only the job it was running —
-the job is reported FAILED/TIMEOUT and a replacement worker is spawned if
-work remains.  Per-process state corruption can now outlive a *successful*
-job, which is the deliberate trade: callers who need the strictest
-isolation keep the default one-process-per-job mode.
+The isolation contract: a worker that crashes, segfaults, or overruns its
+job's hard timeout (and is killed) costs only the job it was running.  That
+job is reported FAILED/TIMEOUT, a replacement worker is spawned, and the
+pool keeps serving everything else.  An exception inside the pipeline is
+captured in the worker and is one failed job; the worker lives on.
 
 :func:`run_jobs_inline` is the zero-process executor used for ``--jobs 0``
 (and by unit tests): same scheduling order and error capture, but timeouts
 are only honored cooperatively (the config's ``max_seconds`` fuel is
 clamped) since there is no process to kill.
-
-:class:`ResidentPool` is the daemon-facing variant: the same persistent
-worker processes, but driven by a resident scheduler thread that accepts
-job submissions at any time and reports completions through per-job
-callbacks instead of draining one batch and returning.
 """
 
 from __future__ import annotations
@@ -44,7 +35,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from multiprocessing.connection import wait as connection_wait
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.service.job import JobEvent, JobResult, JobStatus, SynthesisJob
 from repro.service.queue import JobQueue
@@ -137,36 +128,16 @@ def _persistent_worker_loop(conn) -> None:
     conn.close()
 
 
-def _worker_entry(payload: dict, conn) -> None:
-    """Child-process entry point: run the payload, ship the outcome back."""
-    try:
-        outcome = execute_payload(payload)
-    except BaseException:  # pragma: no cover - execute_payload already catches
-        import traceback
-
-        outcome = {
-            "job_id": payload.get("job_id", "?"),
-            "name": payload.get("name", "?"),
-            "status": "failed",
-            "seconds": 0.0,
-            "error": traceback.format_exc(),
-        }
-    try:
-        conn.send(outcome)
-    finally:
-        conn.close()
-
-
-def _pick_context(start_method: Optional[str]) -> Tuple[object, str]:
+def _pick_context(start_method: Optional[str]) -> multiprocessing.context.BaseContext:
     """The multiprocessing context for worker processes.
 
-    Fork (where available) keeps per-job startup cheap: the child inherits
+    Fork (where available) keeps worker startup cheap: the child inherits
     the already-imported pipeline instead of re-importing.
     """
     if start_method is None:
         methods = multiprocessing.get_all_start_methods()
         start_method = "fork" if "fork" in methods else methods[0]
-    return multiprocessing.get_context(start_method), start_method
+    return multiprocessing.get_context(start_method)
 
 
 def _spawn_worker(context) -> "_PersistentWorker":
@@ -226,17 +197,6 @@ def run_jobs_inline(
 
 
 @dataclass
-class _Slot:
-    """One running worker process and its bookkeeping."""
-
-    job: SynthesisJob
-    process: multiprocessing.process.BaseProcess
-    conn: object
-    started: float
-    deadline: Optional[float]
-
-
-@dataclass
 class _PersistentWorker:
     """One long-lived worker process and the job it is currently running."""
 
@@ -250,12 +210,11 @@ class _PersistentWorker:
     def busy(self) -> bool:
         return self.job is not None
 
-    def assign(self, job: SynthesisJob, on_event: Optional[EventCallback]) -> None:
+    def assign(self, job: SynthesisJob) -> None:
         self.job = job
         self.started = time.perf_counter()
         self.deadline = self.started + job.timeout if job.timeout is not None else None
         self.conn.send(job.payload())
-        _emit(on_event, JobEvent("start", job.job_id, job.name))
 
     def shutdown(self) -> None:
         """Best-effort graceful stop, then force."""
@@ -263,314 +222,23 @@ class _PersistentWorker:
             self.conn.send(None)
         except (BrokenPipeError, OSError):
             pass
+        self.process.join(timeout=1.0)
+        self.kill()
+
+    def kill(self) -> None:
+        """Terminate the process if it still runs and release the pipe."""
+        if self.process.is_alive():
+            self.process.terminate()
+        self.process.join()
         try:
             self.conn.close()
         except OSError:
             pass
-        self.process.join(timeout=1.0)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join()
 
 
-class WorkerPool:
-    """Fans jobs out across processes, up to ``worker_count`` at a time.
-
-    ``persistent=True`` switches from one-process-per-job to a fixed crew of
-    long-lived workers fed over pipes (see the module docstring for the
-    isolation trade-off).
-    """
-
-    def __init__(
-        self,
-        worker_count: int,
-        start_method: Optional[str] = None,
-        persistent: bool = False,
-    ):
-        if worker_count < 1:
-            raise ValueError("worker_count must be >= 1 (use run_jobs_inline for 0)")
-        self.worker_count = worker_count
-        self.persistent = persistent
-        #: Worker processes spawned over the pool's lifetime, in *either*
-        #: mode: one per job in the default mode, and in persistent mode
-        #: the initial crew plus one per respawn after a crash/timeout
-        #: (observable in tests and reports).
-        self.workers_spawned = 0
-        self._context, self.start_method = _pick_context(start_method)
-
-    # -- driver ----------------------------------------------------------------
-
-    def run(
-        self, jobs: Sequence[SynthesisJob], on_event: Optional[EventCallback] = None
-    ) -> Dict[str, JobResult]:
-        """Run every job; returns results keyed by job id.
-
-        Jobs are dispatched in queue order (priority desc, then FIFO).  The
-        call returns only when every job has succeeded, failed, crashed, or
-        been killed at its deadline.
-        """
-        if self.persistent:
-            return self._run_persistent(jobs, on_event)
-        queue = JobQueue(jobs)
-        running: List[_Slot] = []
-        results: Dict[str, JobResult] = {}
-        try:
-            while queue or running:
-                while queue and len(running) < self.worker_count:
-                    running.append(self._launch(queue.pop(), on_event))
-                self._reap(running, results, on_event)
-        finally:
-            # Belt and braces: never leave orphaned workers behind if the
-            # driver itself is interrupted.
-            for slot in running:
-                if slot.process.is_alive():
-                    slot.process.terminate()
-                slot.process.join()
-        return results
-
-    # -- persistent mode --------------------------------------------------------
-
-    def _spawn_persistent(self) -> _PersistentWorker:
-        self.workers_spawned += 1
-        return _spawn_worker(self._context)
-
-    #: Consecutive idle-death assignment failures tolerated per job before
-    #: it is reported FAILED instead of retried on a fresh worker.
-    _MAX_ASSIGN_ATTEMPTS = 3
-
-    def _run_persistent(
-        self, jobs: Sequence[SynthesisJob], on_event: Optional[EventCallback]
-    ) -> Dict[str, JobResult]:
-        queue = JobQueue(jobs)
-        results: Dict[str, JobResult] = {}
-        assign_failures: Dict[str, int] = {}
-        crew: List[_PersistentWorker] = [
-            self._spawn_persistent() for _ in range(min(self.worker_count, len(queue)))
-        ]
-        try:
-            while queue or any(worker.busy for worker in crew):
-                for worker in list(crew):  # _retire mutates the crew
-                    if worker.busy or not queue:
-                        continue
-                    job = queue.pop()
-                    try:
-                        worker.assign(job, on_event)
-                    except (BrokenPipeError, OSError):
-                        # The worker died while *idle*: the job never
-                        # started, so retry it on a replacement (bounded —
-                        # if fresh workers keep dying on arrival, fail the
-                        # job rather than spin) and keep the batch alive.
-                        worker.job = None
-                        failures = assign_failures.get(job.job_id, 0) + 1
-                        assign_failures[job.job_id] = failures
-                        if failures >= self._MAX_ASSIGN_ATTEMPTS:
-                            result = JobResult(
-                                job_id=job.job_id,
-                                name=job.name,
-                                status=JobStatus.FAILED,
-                                error=(
-                                    "persistent worker died before accepting the "
-                                    f"job ({failures} attempts)"
-                                ),
-                            )
-                            results[job.job_id] = result
-                            _emit(
-                                on_event,
-                                JobEvent(
-                                    "failed", job.job_id, job.name, 0.0,
-                                    result.error_summary(),
-                                ),
-                            )
-                        else:
-                            queue.push(job)
-                        self._retire(worker, crew, queue)
-                self._reap_persistent(crew, queue, results, on_event)
-        finally:
-            for worker in crew:
-                worker.shutdown()
-        return results
-
-    def _reap_persistent(
-        self,
-        crew: List[_PersistentWorker],
-        queue: JobQueue,
-        results: Dict[str, JobResult],
-        on_event: Optional[EventCallback],
-    ) -> None:
-        """Wait for progress on busy workers; collect results, crashes, expiries."""
-        busy = [worker for worker in crew if worker.busy]
-        if not busy:
-            return
-        deadlines = [w.deadline for w in busy if w.deadline is not None]
-        timeout = max(0.0, min(deadlines) - time.perf_counter()) if deadlines else None
-        ready = set(connection_wait([worker.conn for worker in busy], timeout))
-        now = time.perf_counter()
-        for worker in busy:
-            if worker.conn in ready:
-                self._collect_persistent(worker, crew, queue, now, results, on_event)
-            elif worker.deadline is not None and now >= worker.deadline:
-                job = worker.job
-                self._retire(worker, crew, queue)
-                elapsed = now - worker.started
-                result = JobResult(
-                    job_id=job.job_id,
-                    name=job.name,
-                    status=JobStatus.TIMEOUT,
-                    error=f"killed after exceeding the {job.timeout:g}s job timeout",
-                    seconds=elapsed,
-                )
-                results[job.job_id] = result
-                _emit(
-                    on_event,
-                    JobEvent("timeout", job.job_id, job.name, elapsed, result.error_summary()),
-                )
-
-    def _collect_persistent(
-        self,
-        worker: _PersistentWorker,
-        crew: List[_PersistentWorker],
-        queue: JobQueue,
-        now: float,
-        results: Dict[str, JobResult],
-        on_event: Optional[EventCallback],
-    ) -> None:
-        """A busy worker's pipe is readable: an outcome, or EOF (it died)."""
-        job = worker.job
-        elapsed = now - worker.started
-        try:
-            outcome = worker.conn.recv()
-        except (EOFError, OSError):
-            outcome = None
-        if outcome is None:
-            # The worker died mid-job: fail the job, replace the worker.
-            self._retire(worker, crew, queue)
-            result = JobResult(
-                job_id=job.job_id,
-                name=job.name,
-                status=JobStatus.FAILED,
-                error=(
-                    f"persistent worker died without reporting "
-                    f"(exit code {worker.process.exitcode})"
-                ),
-                seconds=elapsed,
-            )
-        else:
-            worker.job = None
-            worker.deadline = None
-            result = _result_from_outcome(job, outcome, outcome.get("seconds", elapsed))
-        results[job.job_id] = result
-        kind = "done" if result.ok else "failed"
-        _emit(on_event, JobEvent(kind, job.job_id, job.name, result.seconds, result.error_summary()))
-
-    def _retire(
-        self, worker: _PersistentWorker, crew: List[_PersistentWorker], queue: JobQueue
-    ) -> None:
-        """Kill a dead/expired worker; respawn a replacement if work remains."""
-        if worker.process.is_alive():
-            worker.process.terminate()
-        worker.process.join()
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-        crew.remove(worker)
-        if queue:
-            crew.append(self._spawn_persistent())
-
-    # -- internals -------------------------------------------------------------
-
-    def _launch(self, job: SynthesisJob, on_event: Optional[EventCallback]) -> _Slot:
-        parent_conn, child_conn = self._context.Pipe(duplex=False)
-        process = self._context.Process(
-            target=_worker_entry, args=(job.payload(), child_conn), daemon=True
-        )
-        process.start()
-        self.workers_spawned += 1
-        child_conn.close()  # the parent's copy; the child holds its own
-        _emit(on_event, JobEvent("start", job.job_id, job.name))
-        now = time.perf_counter()
-        deadline = now + job.timeout if job.timeout is not None else None
-        return _Slot(job=job, process=process, conn=parent_conn, started=now, deadline=deadline)
-
-    def _wait_timeout(self, running: Sequence[_Slot]) -> Optional[float]:
-        deadlines = [slot.deadline for slot in running if slot.deadline is not None]
-        if not deadlines:
-            return None  # block until some worker reports (or dies: EOF readies its pipe)
-        return max(0.0, min(deadlines) - time.perf_counter())
-
-    def _reap(
-        self,
-        running: List[_Slot],
-        results: Dict[str, JobResult],
-        on_event: Optional[EventCallback],
-    ) -> None:
-        """Wait for progress, then collect finished / crashed / expired slots."""
-        if not running:
-            return
-        ready = set(connection_wait([slot.conn for slot in running], self._wait_timeout(running)))
-        now = time.perf_counter()
-        for slot in list(running):
-            if slot.conn in ready:
-                results[slot.job.job_id] = self._collect(slot, now, on_event)
-                running.remove(slot)
-            elif slot.deadline is not None and now >= slot.deadline:
-                results[slot.job.job_id] = self._kill_expired(slot, now, on_event)
-                running.remove(slot)
-
-    def _collect(
-        self, slot: _Slot, now: float, on_event: Optional[EventCallback]
-    ) -> JobResult:
-        """A worker's pipe is readable: either an outcome or an EOF (crash).
-
-        A dying worker can surface as ``EOFError`` *or* as ``OSError``
-        (e.g. ECONNRESET on the pipe) depending on how the kernel tears the
-        connection down — both mean the same thing: no outcome is coming.
-        """
-        job = slot.job
-        elapsed = now - slot.started
-        try:
-            outcome = slot.conn.recv()
-        except (EOFError, OSError):
-            outcome = None
-        slot.conn.close()
-        slot.process.join()
-        if outcome is None:
-            result = JobResult(
-                job_id=job.job_id,
-                name=job.name,
-                status=JobStatus.FAILED,
-                error=(
-                    f"worker process died without reporting "
-                    f"(exit code {slot.process.exitcode})"
-                ),
-                seconds=elapsed,
-            )
-        else:
-            # Prefer the worker's own timing (excludes fork/dispatch overhead).
-            result = _result_from_outcome(job, outcome, outcome.get("seconds", elapsed))
-        kind = "done" if result.ok else "failed"
-        _emit(on_event, JobEvent(kind, job.job_id, job.name, result.seconds, result.error_summary()))
-        return result
-
-    def _kill_expired(
-        self, slot: _Slot, now: float, on_event: Optional[EventCallback]
-    ) -> JobResult:
-        """Hard deadline: terminate the worker and report a timeout."""
-        job = slot.job
-        slot.process.terminate()
-        slot.process.join()
-        slot.conn.close()
-        elapsed = now - slot.started
-        result = JobResult(
-            job_id=job.job_id,
-            name=job.name,
-            status=JobStatus.TIMEOUT,
-            error=f"killed after exceeding the {job.timeout:g}s job timeout",
-            seconds=elapsed,
-        )
-        _emit(on_event, JobEvent("timeout", job.job_id, job.name, elapsed, result.error_summary()))
-        return result
-
+#: Consecutive idle-death assignment failures tolerated per job before it is
+#: reported FAILED instead of retried on a fresh worker.
+_MAX_ASSIGN_ATTEMPTS = 3
 
 #: Per-job completion callback: receives the job and its final JobResult.
 ResultCallback = Callable[[SynthesisJob, JobResult], None]
@@ -578,9 +246,8 @@ ResultCallback = Callable[[SynthesisJob, JobResult], None]
 
 @dataclass
 class _Submission:
-    """One submitted job and where its progress/outcome should be reported."""
+    """Where one submitted job's progress and outcome should be reported."""
 
-    job: SynthesisJob
     on_result: ResultCallback
     on_event: Optional[EventCallback]
 
@@ -588,15 +255,12 @@ class _Submission:
 class ResidentPool:
     """A long-lived worker fleet serving jobs submitted one at a time.
 
-    The daemon-facing sibling of ``WorkerPool(persistent=True)``: the same
-    worker processes and pipe protocol, but instead of draining one batch
-    synchronously the pool runs a resident scheduler thread that accepts
-    submissions from any thread at any time and reports each completion
-    through the submission's own callback.  The isolation contract is the
-    batch pool's: a worker that crashes, raises, or blows its deadline
-    costs only the job it was running — the job is reported
+    A resident scheduler thread assigns queued jobs (priority desc, then
+    FIFO) to idle workers and reports each completion through the
+    submission's own callbacks.  A worker that crashes or blows its
+    deadline costs only the job it was running: the job is reported
     FAILED/TIMEOUT, a replacement worker is spawned, and the fleet keeps
-    serving everything else.
+    serving everything else (see the module docstring).
 
     Callbacks run on the scheduler thread with no pool lock held, so they
     may call back into the pool (e.g. submit follow-up work), but they must
@@ -612,7 +276,7 @@ class ResidentPool:
         if worker_count < 1:
             raise ValueError("worker_count must be >= 1")
         self.worker_count = worker_count
-        self._context, self.start_method = _pick_context(start_method)
+        self._context = _pick_context(start_method)
         #: Lifetime counters (read via :meth:`snapshot`): processes started,
         #: mid-job deaths, deadline kills, replacements after either.
         self.workers_spawned = 0
@@ -628,9 +292,6 @@ class ResidentPool:
         self._stopping = False
         self._drain = True
         self._thread: Optional[threading.Thread] = None
-        # Self-pipe: submit()/shutdown() nudge the scheduler out of its
-        # connection_wait so new work is assigned without polling.
-        self._wake_recv, self._wake_send = socket.socketpair()
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -639,6 +300,9 @@ class ResidentPool:
         with self._lock:
             if self._thread is not None:
                 raise RuntimeError("ResidentPool is already started")
+            # Self-pipe: submit()/shutdown() nudge the scheduler out of its
+            # connection_wait so new work is assigned without polling.
+            self._wake_recv, self._wake_send = socket.socketpair()
             self._crew = [self._spawn() for _ in range(self.worker_count)]
             self._thread = threading.Thread(
                 target=self._loop, name="resident-pool", daemon=True
@@ -677,7 +341,7 @@ class ResidentPool:
             if job.job_id in self._submissions:
                 raise ValueError(f"job id {job.job_id!r} is already in flight")
             self._queue.push(job)
-            self._submissions[job.job_id] = _Submission(job, on_result, on_event)
+            self._submissions[job.job_id] = _Submission(on_result, on_event)
         self._wake()
 
     # -- observability ---------------------------------------------------------
@@ -696,16 +360,6 @@ class ResidentPool:
                 "respawns": self.respawns,
                 "completed": self.jobs_completed,
             }
-
-    @property
-    def queue_depth(self) -> int:
-        with self._lock:
-            return len(self._queue)
-
-    @property
-    def running_count(self) -> int:
-        with self._lock:
-            return sum(1 for w in self._crew if w.busy)
 
     # -- scheduler loop --------------------------------------------------------
 
@@ -756,45 +410,39 @@ class ResidentPool:
         self._teardown()
 
     def _assign_ready(self, actions: List[Callable[[], None]]) -> None:
-        """Hand queued jobs to idle workers (lock held)."""
-        for worker in list(self._crew):  # _replace mutates the crew
-            if not self._queue:
+        """Hand queued jobs to idle workers, replacements included (lock held)."""
+        while self._queue:
+            worker = next((w for w in self._crew if not w.busy), None)
+            if worker is None:
                 break
-            if worker.busy:
-                continue
             job = self._queue.pop()
-            submission = self._submissions[job.job_id]
             try:
-                worker.assign(job, None)
+                worker.assign(job)
             except (BrokenPipeError, OSError):
                 # The worker died while *idle*: the job never started, so
                 # retry it on a replacement (bounded — if fresh workers keep
-                # dying on arrival, fail the job rather than spin).
+                # dying on arrival, fail the job rather than spin).  The job
+                # is requeued before the replacement: a draining pool only
+                # respawns while work remains.
                 worker.job = None
                 self.crashes += 1
-                self._replace(worker)
                 failures = self._assign_failures.get(job.job_id, 0) + 1
                 self._assign_failures[job.job_id] = failures
-                if failures >= WorkerPool._MAX_ASSIGN_ATTEMPTS:
-                    self._finish(
+                if failures >= _MAX_ASSIGN_ATTEMPTS:
+                    self._fail(
                         job,
-                        JobResult(
-                            job_id=job.job_id,
-                            name=job.name,
-                            status=JobStatus.FAILED,
-                            error=(
-                                "persistent worker died before accepting the "
-                                f"job ({failures} attempts)"
-                            ),
-                        ),
                         actions,
+                        "persistent worker died before accepting the "
+                        f"job ({failures} attempts)",
                     )
                 else:
                     self._queue.push(job)
+                self._replace(worker)
                 continue
-            if submission.on_event is not None:
+            on_event = self._submissions[job.job_id].on_event
+            if on_event is not None:
                 event = JobEvent("start", job.job_id, job.name)
-                actions.append(lambda cb=submission.on_event, e=event: cb(e))
+                actions.append(lambda cb=on_event, e=event: cb(e))
 
     def _collect_resident(
         self, worker: _PersistentWorker, now: float, actions: List[Callable[[], None]]
@@ -809,20 +457,17 @@ class ResidentPool:
         if outcome is None:
             self.crashes += 1
             self._replace(worker)
-            result = JobResult(
-                job_id=job.job_id,
-                name=job.name,
-                status=JobStatus.FAILED,
-                error=(
-                    f"persistent worker died without reporting "
-                    f"(exit code {worker.process.exitcode})"
-                ),
+            self._fail(
+                job,
+                actions,
+                "persistent worker died without reporting "
+                f"(exit code {worker.process.exitcode})",
                 seconds=elapsed,
             )
-        else:
-            worker.job = None
-            worker.deadline = None
-            result = _result_from_outcome(job, outcome, outcome.get("seconds", elapsed))
+            return
+        worker.job = None
+        worker.deadline = None
+        result = _result_from_outcome(job, outcome, outcome.get("seconds", elapsed))
         self._finish(job, result, actions)
 
     def _expire_resident(
@@ -832,27 +477,17 @@ class ResidentPool:
         job = worker.job
         self.timeouts += 1
         self._replace(worker)
-        self._finish(
+        self._fail(
             job,
-            JobResult(
-                job_id=job.job_id,
-                name=job.name,
-                status=JobStatus.TIMEOUT,
-                error=f"killed after exceeding the {job.timeout:g}s job timeout",
-                seconds=now - worker.started,
-            ),
             actions,
+            f"killed after exceeding the {job.timeout:g}s job timeout",
+            status=JobStatus.TIMEOUT,
+            seconds=now - worker.started,
         )
 
     def _replace(self, worker: _PersistentWorker) -> None:
         """Kill a dead/expired worker; keep the fleet at strength (lock held)."""
-        if worker.process.is_alive():
-            worker.process.terminate()
-        worker.process.join()
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
+        worker.kill()
         self._crew.remove(worker)
         # A resident fleet must stay at strength for traffic that has not
         # arrived yet — respawn unless the pool is on its way down with no
@@ -885,6 +520,20 @@ class ResidentPool:
             actions.append(lambda cb=submission.on_event, e=event: cb(e))
         actions.append(lambda cb=submission.on_result, j=job, r=result: cb(j, r))
 
+    def _fail(
+        self,
+        job: SynthesisJob,
+        actions: List[Callable[[], None]],
+        error: str,
+        status: JobStatus = JobStatus.FAILED,
+        seconds: float = 0.0,
+    ) -> None:
+        """:meth:`_finish` a job that ended without an outcome (lock held)."""
+        result = JobResult(
+            job_id=job.job_id, name=job.name, status=status, error=error, seconds=seconds
+        )
+        self._finish(job, result, actions)
+
     def _teardown(self) -> None:
         """Stop the fleet; fail anything still outstanding (force stop only)."""
         actions: List[Callable[[], None]] = []
@@ -892,28 +541,12 @@ class ResidentPool:
             for worker in self._crew:
                 if worker.busy:
                     job, worker.job = worker.job, None
-                    self._finish(
-                        job,
-                        JobResult(
-                            job_id=job.job_id,
-                            name=job.name,
-                            status=JobStatus.FAILED,
-                            error="resident pool shut down while the job was running",
-                        ),
-                        actions,
+                    self._fail(
+                        job, actions, "resident pool shut down while the job was running"
                     )
             while self._queue:
                 job = self._queue.pop()
-                self._finish(
-                    job,
-                    JobResult(
-                        job_id=job.job_id,
-                        name=job.name,
-                        status=JobStatus.FAILED,
-                        error="resident pool shut down before the job ran",
-                    ),
-                    actions,
-                )
+                self._fail(job, actions, "resident pool shut down before the job ran")
             crew, self._crew = self._crew, []
         for worker in crew:
             worker.shutdown()

@@ -11,6 +11,7 @@ import json
 import multiprocessing
 import os
 import pickle
+from queue import SimpleQueue
 
 import pytest
 
@@ -21,10 +22,10 @@ from repro.csg.build import scale, translate, union_all, unit
 from repro.service import (
     JobQueue,
     JobStatus,
+    ResidentPool,
     ResultCache,
     SynthesisJob,
     SynthesisService,
-    WorkerPool,
     cache_key,
     run_jobs_inline,
 )
@@ -298,15 +299,22 @@ class TestInlineExecution:
         assert "Traceback" in by_name["bad"].error
 
     def test_events_follow_priority_order(self):
-        events = []
         jobs = [
             SynthesisJob(name="second", term=_chain(2), priority=0),
-            SynthesisJob(name="first", term=_chain(2), priority=9),
+            SynthesisJob(name="first", term=_chain(3), priority=9),
         ]
-        run_jobs_inline(jobs, on_event=events.append)
-        assert [(e.kind, e.name) for e in events] == [
-            ("start", "first"), ("done", "first"), ("start", "second"), ("done", "second"),
-        ]
+        # Distinct terms, so the service does not coalesce them.  Inline
+        # and through one pooled worker, which must not start the first
+        # submission ahead of a higher-priority one.
+        for worker_count in (0, 1):
+            events = []
+            SynthesisService(worker_count=worker_count, on_event=events.append).run_batch(
+                jobs
+            )
+            assert [(e.kind, e.name) for e in events] == [
+                ("start", "first"), ("done", "first"),
+                ("start", "second"), ("done", "second"),
+            ], f"worker_count={worker_count}"
 
 
 # ---------------------------------------------------------------------------
@@ -314,18 +322,55 @@ class TestInlineExecution:
 # ---------------------------------------------------------------------------
 
 
+_FORK = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="crash injection relies on fork inheriting the monkeypatch",
+)
+
+
+@pytest.fixture
+def batch_pools(monkeypatch):
+    """Every ResidentPool that ``run_batch`` starts, for its counters."""
+    import repro.service.service as service_module
+
+    pools = []
+
+    class RecordingPool(ResidentPool):
+        def start(self):
+            pools.append(self)
+            return super().start()
+
+    monkeypatch.setattr(service_module, "ResidentPool", RecordingPool)
+    return pools
+
+
+def _run_resident(pool, jobs, on_event=None):
+    """Start ``pool``, submit ``jobs`` in order, and stop it once all end."""
+    finished = SimpleQueue()
+    pool.start()
+    try:
+        for job in jobs:
+            pool.submit(job, lambda _job, result: finished.put(result), on_event)
+        results = [finished.get(timeout=60) for _ in jobs]
+    finally:
+        pool.shutdown(drain=False)
+    return {result.name: result for result in results}
+
+
 class TestWorkerPool:
+    """Batch fan-out: ``run_batch`` with ``worker_count >= 1``."""
+
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
-            WorkerPool(0)
+            ResidentPool(0)
 
     def test_parallel_results_match_inline(self):
         jobs = [SynthesisJob(name=f"chain-{n}", term=_chain(n)) for n in (3, 4, 5)]
         inline = run_jobs_inline(jobs)
-        pooled = WorkerPool(2).run(jobs)
-        assert set(pooled) == set(inline)
-        for job_id, inline_result in inline.items():
-            pooled_result = pooled[job_id]
+        report = SynthesisService(worker_count=2).run_batch(jobs)
+        assert [r.job_id for r in report.results] == [job.job_id for job in jobs]
+        for pooled_result in report.results:
+            inline_result = inline[pooled_result.job_id]
             assert pooled_result.status is JobStatus.SUCCEEDED
             assert [c.term for c in pooled_result.result.candidates] == [
                 c.term for c in inline_result.result.candidates
@@ -341,16 +386,12 @@ class TestWorkerPool:
             ),
             SynthesisJob(name="ok", term=_chain(3)),
         ]
-        results = WorkerPool(2).run(jobs)
-        by_name = {r.name: r for r in results.values()}
-        assert by_name["bad"].status is JobStatus.FAILED
-        assert "no-such" in by_name["bad"].error
-        assert by_name["ok"].status is JobStatus.SUCCEEDED
+        report = SynthesisService(worker_count=2).run_batch(jobs)
+        assert report.result_for("bad").status is JobStatus.FAILED
+        assert "no-such" in report.result_for("bad").error
+        assert report.result_for("ok").status is JobStatus.SUCCEEDED
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="crash injection relies on fork inheriting the monkeypatch",
-    )
+    @_FORK
     def test_worker_process_death_is_reported(self, monkeypatch):
         import repro.service.worker as worker_module
 
@@ -358,18 +399,19 @@ class TestWorkerPool:
             os._exit(13)
 
         monkeypatch.setattr(worker_module, "execute_payload", die)
-        job = SynthesisJob(name="crasher", term=_chain(2))
-        results = WorkerPool(1, start_method="fork").run([job])
-        result = results[job.job_id]
+        report = SynthesisService(worker_count=1).run_batch(
+            [SynthesisJob(name="crasher", term=_chain(2))]
+        )
+        (result,) = report.results
         assert result.status is JobStatus.FAILED
         assert "exit code 13" in result.error
 
     def test_oserror_on_the_result_pipe_is_a_failed_job_not_a_raised_batch(self):
         # A dying worker can tear its pipe down as OSError (ECONNRESET)
         # instead of a clean EOFError; both must collapse to the same
-        # "worker died" FAILED result instead of escaping _collect and
-        # sinking the whole batch.
-        from repro.service.worker import _Slot
+        # "worker died" FAILED result instead of escaping the collector
+        # and killing the pool's scheduler thread.
+        from repro.service.worker import _PersistentWorker, _Submission
 
         class ResettingConn:
             def recv(self):
@@ -381,19 +423,31 @@ class TestWorkerPool:
         class ReapedProcess:
             exitcode = -9
 
+            def is_alive(self):
+                return False
+
             def join(self, timeout=None):
                 pass
 
         job = SynthesisJob(name="reset", term=_chain(2))
-        slot = _Slot(
-            job=job, process=ReapedProcess(), conn=ResettingConn(),
-            started=0.0, deadline=None,
+        results, events = [], []
+        pool = ResidentPool(1)
+        pool._stopping = True  # a pool on its way down spawns no replacement
+        worker = _PersistentWorker(process=ReapedProcess(), conn=ResettingConn(), job=job)
+        pool._crew.append(worker)
+        pool._submissions[job.job_id] = _Submission(
+            lambda _job, result: results.append(result), events.append
         )
-        events = []
-        result = WorkerPool(1)._collect(slot, now=1.0, on_event=events.append)
+        actions = []
+        with pool._lock:
+            pool._collect_resident(worker, now=1.0, actions=actions)
+        for action in actions:
+            action()
+        (result,) = results
         assert result.status is JobStatus.FAILED
         assert "died without reporting" in result.error
         assert any(e.kind == "failed" and e.name == "reset" for e in events)
+        assert pool.snapshot()["crashes"] == 1
 
     def test_hard_timeout_kills_the_worker(self):
         events = []
@@ -401,40 +455,55 @@ class TestWorkerPool:
             SynthesisJob(name="slow", term=gear_model(), timeout=0.25),
             SynthesisJob(name="quick", term=_chain(3)),
         ]
-        results = WorkerPool(2).run(jobs, on_event=events.append)
-        by_name = {r.name: r for r in results.values()}
-        assert by_name["slow"].status is JobStatus.TIMEOUT
-        assert "timeout" in by_name["slow"].error
-        assert by_name["quick"].status is JobStatus.SUCCEEDED
+        report = SynthesisService(worker_count=2, on_event=events.append).run_batch(jobs)
+        assert report.result_for("slow").status is JobStatus.TIMEOUT
+        assert "timeout" in report.result_for("slow").error
+        assert report.result_for("quick").status is JobStatus.SUCCEEDED
         assert any(e.kind == "timeout" and e.name == "slow" for e in events)
+
+    def test_caller_callback_errors_surface_and_stop_the_workers(self):
+        class CallbackError(Exception):
+            pass
+
+        def on_event(event):
+            if event.kind == "done":
+                raise CallbackError(event.name)
+
+        jobs = [SynthesisJob(name=f"chain-{n}", term=_chain(n)) for n in (3, 4, 5)]
+        with pytest.raises(CallbackError):
+            SynthesisService(worker_count=2, on_event=on_event).run_batch(jobs)
+        assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
-# Persistent workers: amortized startup, crash isolation preserved
+# The resident pool directly: reuse, respawns, bounded retries
 # ---------------------------------------------------------------------------
 
 
 class TestPersistentWorkerPool:
+    """``ResidentPool``'s long-lived workers, driven without the service."""
+
     def test_results_match_inline_and_workers_are_reused(self):
         jobs = [SynthesisJob(name=f"chain-{n}", term=_chain(n)) for n in (3, 4, 5, 6)]
         inline = run_jobs_inline(jobs)
-        pool = WorkerPool(2, persistent=True)
-        pooled = pool.run(jobs)
-        assert set(pooled) == set(inline)
-        for job_id, inline_result in inline.items():
-            pooled_result = pooled[job_id]
+        pool = ResidentPool(2)
+        pooled = _run_resident(pool, jobs)
+        for inline_result in inline.values():
+            pooled_result = pooled[inline_result.name]
             assert pooled_result.status is JobStatus.SUCCEEDED
             assert [c.term for c in pooled_result.result.candidates] == [
                 c.term for c in inline_result.result.candidates
             ]
         # 4 jobs over 2 long-lived workers: no per-job process was spawned.
-        assert pool.workers_spawned == 2
+        assert pool.snapshot()["spawned"] == 2
 
-    def test_spawns_no_more_workers_than_jobs(self):
-        pool = WorkerPool(8, persistent=True)
-        results = pool.run([SynthesisJob(name="only", term=_chain(3))])
-        assert results and all(r.ok for r in results.values())
-        assert pool.workers_spawned == 1
+    def test_spawns_no_more_workers_than_jobs(self, batch_pools):
+        report = SynthesisService(worker_count=8).run_batch(
+            [SynthesisJob(name="only", term=_chain(3))]
+        )
+        assert report.results and all(r.ok for r in report.results)
+        (pool,) = batch_pools
+        assert pool.snapshot()["spawned"] == 1
 
     def test_worker_exception_is_a_failed_job_not_a_sunk_batch(self):
         jobs = [
@@ -443,19 +512,15 @@ class TestPersistentWorkerPool:
             ),
             SynthesisJob(name="ok", term=_chain(3)),
         ]
-        pool = WorkerPool(2, persistent=True)
-        results = pool.run(jobs)
-        by_name = {r.name: r for r in results.values()}
+        pool = ResidentPool(2)
+        by_name = _run_resident(pool, jobs)
         assert by_name["bad"].status is JobStatus.FAILED
         assert "no-such" in by_name["bad"].error
         assert by_name["ok"].status is JobStatus.SUCCEEDED
         # An in-worker exception is captured in-process: no respawn needed.
-        assert pool.workers_spawned == 2
+        assert pool.snapshot()["spawned"] == 2
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="crash injection relies on fork inheriting the monkeypatch",
-    )
+    @_FORK
     def test_dead_persistent_worker_is_respawned_and_job_failed(self, monkeypatch):
         import repro.service.worker as worker_module
 
@@ -471,33 +536,37 @@ class TestPersistentWorkerPool:
             SynthesisJob(name="crasher", term=_chain(2), priority=5),
             SynthesisJob(name="survivor", term=_chain(3)),
         ]
-        pool = WorkerPool(1, start_method="fork", persistent=True)
-        results = pool.run(jobs)
-        by_name = {r.name: r for r in results.values()}
+        pool = ResidentPool(1, start_method="fork")
+        by_name = _run_resident(pool, jobs)
         assert by_name["crasher"].status is JobStatus.FAILED
         assert "exit code 13" in by_name["crasher"].error
-        # The dead worker was replaced and the rest of the batch completed.
+        # The dead worker was replaced and the rest of the jobs completed.
         assert by_name["survivor"].status is JobStatus.SUCCEEDED
-        assert pool.workers_spawned == 2
+        assert pool.snapshot()["spawned"] == 2
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="crash injection relies on fork inheriting the monkeypatch",
-    )
+    @_FORK
     def test_worker_dead_on_arrival_fails_the_job_not_the_batch(self, monkeypatch):
         # Workers that die while *idle* (before accepting a job) must not
-        # sink the batch with a BrokenPipeError out of run(): the job is
-        # retried on replacements a bounded number of times, then FAILED.
+        # kill the scheduler with a BrokenPipeError: the job is retried on
+        # replacements a bounded number of times, then FAILED.
         import repro.service.worker as worker_module
+
+        real_spawn = worker_module._spawn_worker
+
+        def spawn_dead(context):
+            worker = real_spawn(context)
+            worker.process.join()  # gone before any job reaches it
+            return worker
 
         monkeypatch.setattr(
             worker_module, "_persistent_worker_loop", lambda conn: conn.close()
         )
-        pool = WorkerPool(1, start_method="fork", persistent=True)
-        results = pool.run([SynthesisJob(name="doomed", term=_chain(2))])
-        (result,) = results.values()
-        assert result.status is JobStatus.FAILED
-        assert "worker died" in result.error
+        monkeypatch.setattr(worker_module, "_spawn_worker", spawn_dead)
+        pool = ResidentPool(1, start_method="fork")
+        by_name = _run_resident(pool, [SynthesisJob(name="doomed", term=_chain(2))])
+        assert by_name["doomed"].status is JobStatus.FAILED
+        assert "worker died before accepting the job (3 attempts)" in by_name["doomed"].error
+        assert pool.snapshot()["crashes"] == 3
 
     def test_hard_timeout_kills_and_respawns(self):
         events = []
@@ -505,21 +574,14 @@ class TestPersistentWorkerPool:
             SynthesisJob(name="slow", term=gear_model(), timeout=0.25, priority=5),
             SynthesisJob(name="quick", term=_chain(3)),
         ]
-        pool = WorkerPool(1, persistent=True)
-        results = pool.run(jobs, on_event=events.append)
-        by_name = {r.name: r for r in results.values()}
+        pool = ResidentPool(1)
+        by_name = _run_resident(pool, jobs, on_event=events.append)
         assert by_name["slow"].status is JobStatus.TIMEOUT
         assert "timeout" in by_name["slow"].error
         assert by_name["quick"].status is JobStatus.SUCCEEDED
         assert any(e.kind == "timeout" and e.name == "slow" for e in events)
         # The killed worker's replacement ran the remaining job.
-        assert pool.workers_spawned == 2
-
-    def test_service_threads_persistent_flag(self, tmp_path):
-        jobs = [SynthesisJob(name=f"chain-{n}", term=_chain(n)) for n in (3, 4)]
-        report = SynthesisService(worker_count=2, persistent=True).run_batch(jobs)
-        assert not report.failed
-        assert report.worker_count == 2
+        assert pool.snapshot()["spawned"] == 2
 
 
 # ---------------------------------------------------------------------------
