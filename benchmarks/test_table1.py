@@ -7,7 +7,18 @@ structure exposed for 81% (13/16) of the models.  This harness re-runs the
 whole suite and checks those aggregate shapes; per-model rows are printed so
 they can be compared side by side with the paper's table (see
 README.md, "Table 1 reproduction").
+
+``tests/golden/table1_topk.json`` pins every model's top-k output exactly
+(rank, cost and canonical text of each candidate, plus the ``n-l`` and ``f``
+columns), so a change that alters any result fails loudly.  After an
+intended output change, regenerate it with
+``PYTHONPATH=src python benchmarks/test_table1.py``.
 """
+
+import json
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -15,10 +26,13 @@ from repro.benchsuite.suite import BENCHMARKS, get_benchmark
 from repro.benchsuite.table1 import (
     average_size_reduction,
     format_table,
+    row_from_result,
     run_benchmark,
-    run_table1,
     structure_exposure_rate,
 )
+from repro.core.config import SynthesisConfig
+from repro.core.pipeline import synthesize
+from repro.lang.canon import canonical_term_text
 
 pytestmark = pytest.mark.table1
 
@@ -28,13 +42,49 @@ _STRUCTURED = [b for b in BENCHMARKS if b.expects_structure]
 _UNSTRUCTURED = [b for b in BENCHMARKS if not b.expects_structure]
 
 
+_GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden" / "table1_topk.json"
+
+
+def _run_suite():
+    """Synthesize every model once (as ``run_table1`` does), keeping results."""
+    rows, results = [], {}
+    for benchmark in BENCHMARKS:
+        config = SynthesisConfig(cost_function=benchmark.cost_function)
+        flat = benchmark.build()
+        start = time.perf_counter()
+        result = synthesize(flat, config)
+        rows.append(row_from_result(benchmark, result, time.perf_counter() - start))
+        results[benchmark.name] = result
+    return rows, results
+
+
+def topk_pins(results) -> dict:
+    """Each model's exact top-k output, in the golden file's layout."""
+    return {
+        name: {
+            "loops": result.loop_summary(),
+            "functions": result.function_summary(),
+            "candidates": [
+                {"rank": c.rank, "cost": c.cost, "term": canonical_term_text(c.term)}
+                for c in result.candidates
+            ],
+        }
+        for name, result in results.items()
+    }
+
+
 @pytest.fixture(scope="module")
-def table1_rows():
-    """Run the full suite once and share the rows across assertions."""
-    rows = run_table1()
+def table1_run():
+    """Run the full suite once and share rows and results across assertions."""
+    rows, results = _run_suite()
     print()
     print(format_table(rows))
-    return rows
+    return rows, results
+
+
+@pytest.fixture(scope="module")
+def table1_rows(table1_run):
+    return table1_run[0]
 
 
 class TestTable1Aggregates:
@@ -77,6 +127,15 @@ class TestTable1Aggregates:
         assert all(row.seconds < 300.0 for row in table1_rows)
 
 
+class TestGoldenPins:
+    def test_topk_matches_golden_pins(self, table1_run):
+        golden = json.loads(_GOLDEN.read_text())
+        actual = topk_pins(table1_run[1])
+        assert sorted(actual) == sorted(golden)
+        changed = [name for name in golden if actual[name] != golden[name]]
+        assert not changed, f"top-k output differs from the golden pins: {changed}"
+
+
 class TestIndividualRows:
     @pytest.mark.parametrize(
         "name", [b.name for b in _STRUCTURED], ids=[b.name for b in _STRUCTURED]
@@ -113,3 +172,10 @@ class TestSingleModelTiming:
         flat = bench_model.build()
         row = benchmark(lambda: run_benchmark(bench_model))
         assert row.exposes_structure == bench_model.expects_structure
+
+
+if __name__ == "__main__":
+    _GOLDEN.write_text(
+        json.dumps(topk_pins(_run_suite()[1]), indent=1, sort_keys=True) + "\n"
+    )
+    print(f"wrote {_GOLDEN}", file=sys.stderr)

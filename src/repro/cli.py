@@ -136,7 +136,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         with tracer.span("job", {"name": name}):
             with tracer.span("parse"):
                 csg = parse_csg(Path(args.input).read_text(), strict=False)
-            result = synthesize(csg, _config_from_args(args), tracer=tracer)
+                config = _config_from_args(args)
+            result = synthesize(csg, config, tracer=tracer)
             if args.validate:
                 report = validate_synthesis(csg, result.output_term(), tracer=tracer)
     else:

@@ -18,12 +18,20 @@ The affine-chain vocabulary, the per-term signature, and the
 longest-first candidate ordering all come from the shared semantic
 normalization layer (:mod:`repro.lang.normal`) — the same definitions the
 cache's semantic fingerprints are built on.
+
+Materialization is memoized per ``(class, signature)`` and the memo is
+dropped whenever :attr:`EGraph.version` moves (any new e-node or merge), so
+a memoized answer is always the one a fresh walk would give.  Every term
+materialized from a class is also remembered as *known* to live there
+(:meth:`Determinizer.known_class`): the inference components insert lists
+built from these terms with :meth:`EGraph.add_term_resolving`, which stops
+at a known term instead of re-adding it node by node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.egraph.egraph import EGraph, ENode
 from repro.egraph.extract import ExtractionError, Extractor, ast_size_cost
@@ -53,6 +61,27 @@ class Determinizer:
         self.egraph = egraph
         self.max_signature_depth = max_signature_depth
         self._extractor = Extractor(egraph, ast_size_cost)
+        #: (class, signature) -> materialized term (or None), valid while
+        #: the e-graph is at ``_memo_version``.
+        self._memo: Dict[Tuple[int, Tuple[str, ...]], Optional[Term]] = {}
+        self._memo_version = egraph.version
+        #: Materialized term -> the class it came from; stays valid for the
+        #: e-graph's lifetime (classes only grow), read via ``find``.
+        self._sources: Dict[Term, int] = {}
+        self.materialize_calls = 0
+        self.materialize_memo_hits = 0
+        self.known_class_hits = 0
+
+    def known_class(self, term: Term) -> Optional[int]:
+        """The e-class ``term`` was materialized from, or ``None``.
+
+        Shaped as the ``resolve`` argument of :meth:`EGraph.add_term_resolving`.
+        """
+        class_id = self._sources.get(term)
+        if class_id is None:
+            return None
+        self.known_class_hits += 1
+        return self.egraph.find(class_id)
 
     # -- public ------------------------------------------------------------------
 
@@ -142,7 +171,23 @@ class Determinizer:
     def _materialize(self, class_id: int, signature: Tuple[str, ...]) -> Optional[Term]:
         """Extract a concrete term from ``class_id`` whose affine chain starts
         with exactly the operators of ``signature``."""
-        class_id = self.egraph.find(class_id)
+        self.materialize_calls += 1
+        if self._memo_version != self.egraph.version:
+            self._memo.clear()
+            self._memo_version = self.egraph.version
+        key = (self.egraph.find(class_id), signature)
+        if key in self._memo:
+            self.materialize_memo_hits += 1
+            return self._memo[key]
+        term = self._materialize_uncached(*key)
+        self._memo[key] = term
+        if term is not None:
+            self._sources.setdefault(term, key[0])
+        return term
+
+    def _materialize_uncached(
+        self, class_id: int, signature: Tuple[str, ...]
+    ) -> Optional[Term]:
         if not signature:
             try:
                 term = self._extractor.extract(class_id)

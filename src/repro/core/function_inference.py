@@ -21,8 +21,9 @@ literal).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.cad.build import cons_list, concat, fun, mapi, repeat
 from repro.core.config import SynthesisConfig
@@ -67,6 +68,17 @@ class InferenceRecord:
         )
 
 
+def inference_counters(determinizer: Determinizer, solver: FunctionSolver) -> Counter:
+    """One inference run's memo and reuse counters (``determinize`` span attributes)."""
+    return Counter(
+        materialize_calls=determinizer.materialize_calls,
+        materialize_memo_hits=determinizer.materialize_memo_hits,
+        solve_component_calls=solver.component_calls,
+        solve_memo_hits=solver.memo_hits,
+        known_class_hits=determinizer.known_class_hits,
+    )
+
+
 @dataclass
 class LayerSolution:
     """A solved affine layer: the operator and its closed-form vector function."""
@@ -82,6 +94,8 @@ class FunctionInference:
     egraph: EGraph
     config: SynthesisConfig
     records: List[InferenceRecord] = field(default_factory=list)
+    #: Filled by :meth:`run`; see :func:`inference_counters`.
+    counters: Counter = field(default_factory=Counter)
 
     def run(self) -> int:
         """Infer functions for all folds; returns the number of successes.
@@ -131,7 +145,11 @@ class FunctionInference:
             # function picks among them at extraction time.
             for determinized in variants:
                 if self._infer_for_list(
-                    list_class, determinized, solver, allow_partial=allow_partial
+                    list_class,
+                    determinized,
+                    solver,
+                    determinizer.known_class,
+                    allow_partial=allow_partial,
                 ):
                     solved = True
             if solved:
@@ -139,6 +157,7 @@ class FunctionInference:
                 covered.append(element_set)
             else:
                 failed.append(element_set)
+        self.counters = inference_counters(determinizer, solver)
         return successes
 
     # -- helpers -------------------------------------------------------------------
@@ -159,6 +178,7 @@ class FunctionInference:
         list_class: int,
         determinized: DeterminizedList,
         solver: FunctionSolver,
+        resolve: Callable[[Term], Optional[int]],
         *,
         allow_partial: bool = True,
     ) -> bool:
@@ -176,7 +196,7 @@ class FunctionInference:
             if built is not None:
                 terms, record = built
                 for term in terms:
-                    self._merge_list_term(list_class, term)
+                    self._merge_list_term(list_class, term, resolve)
                 record.list_class = self.egraph.find(list_class)
                 self.records.append(record)
                 solved = True
@@ -197,15 +217,19 @@ class FunctionInference:
                 if built is not None:
                     terms, record = built
                     for term in terms:
-                        self._merge_list_term(list_class, term)
+                        self._merge_list_term(list_class, term, resolve)
                     record.list_class = self.egraph.find(list_class)
                     self.records.append(record)
                     solved = True
                     break
         return solved
 
-    def _merge_list_term(self, list_class: int, term: Term) -> None:
-        new_id = self.egraph.add_term(term)
+    def _merge_list_term(
+        self, list_class: int, term: Term, resolve: Callable[[Term], Optional[int]]
+    ) -> None:
+        # The determinized elements (and their cores) are already e-classes;
+        # only the new list structure around them is added.
+        new_id = self.egraph.add_term_resolving(term, resolve)
         self.egraph.merge(list_class, new_id)
 
     # -- full-list inference ----------------------------------------------------------

@@ -23,13 +23,14 @@ semantics-preserving under the commutative fold operators they appear in.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.cad.build import concat, cons_list, fold, fun, int_list, mapi, nil, repeat
 from repro.core.config import SynthesisConfig
 from repro.core.determinize import Determinizer
-from repro.core.function_inference import InferenceRecord
+from repro.core.function_inference import InferenceRecord, inference_counters
 from repro.core.lists import ListReadError, find_fold_matches, read_list_elements
 from repro.core.listmanip import group_by_component, sort_elements
 from repro.csg.ops import affine_chain, is_affine
@@ -91,6 +92,8 @@ class LoopInference:
     egraph: EGraph
     config: SynthesisConfig
     records: List[InferenceRecord] = field(default_factory=list)
+    #: Filled by :meth:`run`; see :func:`inference_counters`.
+    counters: Counter = field(default_factory=Counter)
 
     #: Index variable names per nesting level.
     _INDEX_NAMES = ("i", "j", "k")
@@ -107,6 +110,7 @@ class LoopInference:
         cheap — a few least-squares fits — so there is no quadratic blow-up.
         """
         determinizer = Determinizer(self.egraph)
+        solver = FunctionSolver(self.config.solver_config())
         work = []
         for _fold_class, function_class, _acc, list_class in find_fold_matches(self.egraph):
             if not self._commutative_function(function_class):
@@ -133,19 +137,20 @@ class LoopInference:
                 built = self._infer_regular(elements)
                 regular = built is not None
                 if built is None:
-                    built = self._infer_irregular(elements)
+                    built = self._infer_irregular(elements, solver)
                 if built is not None:
                     break
             if built is None:
                 continue
             term, record = built
-            new_id = self.egraph.add_term(term)
+            new_id = self.egraph.add_term_resolving(term, determinizer.known_class)
             self.egraph.merge(list_class, new_id)
             record.list_class = self.egraph.find(list_class)
             self.records.append(record)
             if regular:
                 regular_covered.append(element_set)
             successes += 1
+        self.counters = inference_counters(determinizer, solver)
         return successes
 
     # -- shared helpers ---------------------------------------------------------------
@@ -279,13 +284,12 @@ class LoopInference:
     # -- irregular loops ------------------------------------------------------------------
 
     def _infer_irregular(
-        self, elements: Sequence[Term]
+        self, elements: Sequence[Term], solver: FunctionSolver
     ) -> Optional[Tuple[Term, InferenceRecord]]:
         outer = self._outer_layers(elements)
         if outer is None:
             return None
         op, vectors, remainder, wrappers = outer
-        solver = FunctionSolver(self.config.solver_config())
 
         for grouping_component in range(3):
             groups = _group_vectors_by_component(

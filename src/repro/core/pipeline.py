@@ -16,6 +16,7 @@ LambdaCAD programs:
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -225,17 +226,17 @@ def synthesize(
     run_reports: List[RunReport] = []
 
     for outer in range(max(1, config.main_iterations)):
-        runner = Runner(
-            rule_set,
-            limits,
-            backoff=backoff,
-            incremental=config.incremental_search,
-            compiled=compiled,
-            analyses=analyses,
-            dedup=config.apply_dedup,
-            tracer=tracer,
-        )
         with tracer.span("saturate") as sat_span:
+            runner = Runner(
+                rule_set,
+                limits,
+                backoff=backoff,
+                incremental=config.incremental_search,
+                compiled=compiled,
+                analyses=analyses,
+                dedup=config.apply_dedup,
+                tracer=tracer,
+            )
             run_report = runner.run(egraph)
             run_reports.append(run_report)
             if sat_span is not None:
@@ -252,16 +253,19 @@ def synthesize(
         with tracer.span("determinize") as det_span:
             records_before = len(inference_records)
             changed = False
+            counters = Counter()
             if config.enable_function_inference:
                 function_inference = FunctionInference(egraph, config)
                 if function_inference.run():
                     changed = True
                 inference_records.extend(function_inference.records)
+                counters.update(function_inference.counters)
             if config.enable_loop_inference:
                 loop_inference = LoopInference(egraph, config)
                 if loop_inference.run():
                     changed = True
                 inference_records.extend(loop_inference.records)
+                counters.update(loop_inference.counters)
             egraph.rebuild()
             if det_span is not None:
                 det_span.update(
@@ -269,14 +273,19 @@ def synthesize(
                         "outer_iteration": outer,
                         "changed": changed,
                         "inference_records": len(inference_records) - records_before,
+                        **counters,
                     }
                 )
         if not changed:
             break
 
-    cost_function = get_cost_function(config.cost_function)
     extract_start = time.perf_counter()
     with tracer.span("extract") as ext_span:
+        # Free the saturation machinery (rules, compiled trie, runner caches)
+        # before extracting: its memory is then reusable, and its teardown is
+        # timed here instead of falling into the untraced gap at return.
+        del runner, compiled, rule_set, analyses
+        cost_function = get_cost_function(config.cost_function)
         extractor = TopKExtractor(egraph, cost_function, k=config.top_k, roots=[root])
 
         # Combine two views of the root e-class: one candidate per distinct root

@@ -69,7 +69,7 @@ worklist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.egraph.symbols import Operator, SymbolTable
 from repro.egraph.unionfind import UnionFind
@@ -455,6 +455,23 @@ class EGraph:
     def add_term(self, term: Term) -> int:
         """Insert a whole term bottom-up and return the root e-class id."""
         args = tuple(self.add_term(child) for child in term.children)
+        return self.add_enode(ENode(term.op, args))
+
+    def add_term_resolving(
+        self, term: Term, resolve: Callable[[Term], Optional[int]]
+    ) -> int:
+        """:meth:`add_term` for a term built over subterms already present.
+
+        ``resolve`` is asked about each subterm, outermost first; an e-class
+        id it returns must already represent that subterm, which is then
+        used as is instead of being re-added node by node.  Inferred lists
+        (``Mapi``/``Concat``/``Cons`` over determinized elements) are
+        inserted this way.
+        """
+        class_id = resolve(term)
+        if class_id is not None:
+            return class_id
+        args = tuple(self.add_term_resolving(child, resolve) for child in term.children)
         return self.add_enode(ENode(term.op, args))
 
     def add_leaf(self, op: Operator) -> int:

@@ -70,7 +70,7 @@ def execute_payload(payload: dict) -> dict:
         with tracer.span("job", {"job_id": payload["job_id"], "name": payload["name"]}):
             with tracer.span("parse"):
                 term = term_from_canonical(payload["term"])
-            config = SynthesisConfig.from_dict(payload["config"])
+                config = SynthesisConfig.from_dict(payload["config"])
             timeout = payload.get("timeout")
             if timeout is not None:
                 # Cooperative deadline: the saturation fuel cannot exceed the

@@ -17,8 +17,9 @@ divides 360 is re-expressed as ``360 * (i [+1]) / n`` (a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lang.term import Term
 from repro.solvers.forms import (
@@ -47,7 +48,7 @@ class SolverConfig:
     max_rotation_count: int = 720
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComponentSolution:
     """A feasible closed form together with its goodness of fit."""
 
@@ -185,10 +186,38 @@ class VectorFunction:
 
 
 class FunctionSolver:
-    """Facade over the component solvers, operating on lists of 3-vectors."""
+    """Facade over the component solvers, operating on lists of 3-vectors.
+
+    The config is fixed per instance, so the solver memoizes
+    :func:`solve_component` per ``(column, is_rotation)``: the suffix folds
+    of a flat chain present the same columns over and over.  The memo lives
+    as long as the instance (one inference run); the shared solutions hold
+    frozen closed forms, so reusing them is safe.
+    """
 
     def __init__(self, config: Optional[SolverConfig] = None):
         self.config = config or SolverConfig()
+        self._memo: Dict[tuple, Optional[ComponentSolution]] = {}
+        #: Component solves requested, and how many the memo answered.
+        self.component_calls = 0
+        self.memo_hits = 0
+
+    def solve_component(
+        self, column: Sequence[float], *, is_rotation: bool = False
+    ) -> Optional[ComponentSolution]:
+        """:func:`solve_component` under this solver's config, memoized."""
+        self.component_calls += 1
+        column = tuple(column)
+        key = (column, is_rotation)
+        if 0.0 in column:
+            # -0.0 == 0.0, so equal columns may still differ in a zero's sign.
+            key += (tuple(math.copysign(1.0, v) for v in column),)
+        if key in self._memo:
+            self.memo_hits += 1
+            return self._memo[key]
+        solution = solve_component(column, self.config, is_rotation=is_rotation)
+        self._memo[key] = solution
+        return solution
 
     def solve(
         self, vectors: Sequence[Sequence[float]], *, is_rotation: bool = False
@@ -201,7 +230,7 @@ class FunctionSolver:
             raise ValueError("expected 3-component vectors")
         solutions = []
         for column in columns:
-            solution = solve_component(column, self.config, is_rotation=is_rotation)
+            solution = self.solve_component(column, is_rotation=is_rotation)
             if solution is None:
                 return None
             solutions.append(solution)

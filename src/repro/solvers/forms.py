@@ -95,7 +95,7 @@ class ClosedForm:
         return self.describe()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConstantForm(ClosedForm):
     """A constant function ``c`` (the function for an unvarying component)."""
 
@@ -112,7 +112,7 @@ class ConstantForm(ClosedForm):
         return f"{nice_round(self.value):g}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearForm(ClosedForm):
     """A first-degree polynomial ``a*i + b``."""
 
@@ -130,7 +130,7 @@ class LinearForm(ClosedForm):
         return f"{nice_round(self.a):g}*i + {nice_round(self.b):g}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RotationForm(ClosedForm):
     """A rotation-normalized linear form ``360 * (i + shift) / count``.
 
@@ -162,7 +162,7 @@ class RotationForm(ClosedForm):
         return text
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadraticForm(ClosedForm):
     """A second-degree polynomial ``a*i^2 + b*i + c``."""
 
@@ -193,7 +193,7 @@ class QuadraticForm(ClosedForm):
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SinusoidForm(ClosedForm):
     """A trigonometric form ``offset + a * sin(b*i + c)`` (degrees)."""
 

@@ -103,6 +103,41 @@ class TestDeterminizer:
         egraph = EGraph()
         assert Determinizer(egraph).determinize([]) is None
 
+    def test_merged_variant_invalidates_the_memo(self):
+        # The first element offers a Rotate signature the second lacks, so
+        # the memo records "no Rotate view" for the second class.  Merging
+        # an (identity) Rotate variant into it must make the signature
+        # available: a memo that survived the merge would still say no.
+        egraph = EGraph()
+        first = egraph.add_term(rotate(0, 0, 10, cube()))
+        second = egraph.add_term(translate(2, 0, 0, cube()))
+        determinizer = Determinizer(egraph)
+        before = determinizer.determinize_all([first, second])
+        assert [v.signature for v in before] == [()]
+        calls = determinizer.materialize_calls
+        assert [v.signature for v in determinizer.determinize_all([first, second])] == [()]
+        assert determinizer.materialize_memo_hits == determinizer.materialize_calls - calls
+
+        variant = egraph.add_term(rotate(0, 0, 0, translate(2, 0, 0, cube())))
+        egraph.merge(second, variant)
+        egraph.rebuild()
+        after = determinizer.determinize_all([first, second])
+        assert [v.signature for v in after] == [("Rotate",), ()]
+        assert after[0].elements[1] == rotate(0, 0, 0, translate(2, 0, 0, cube()))
+        fresh = Determinizer(egraph).determinize_all([first, second])
+        assert [v.elements for v in after] == [v.elements for v in fresh]
+
+    def test_known_class_maps_materialized_terms_to_their_class(self):
+        elements = [translate(2.0 * i, 0, 0, cube()) for i in range(1, 4)]
+        egraph, element_classes = self._folded_egraph(elements)
+        determinizer = Determinizer(egraph)
+        determinized = determinizer.determinize(element_classes)
+        for term, class_id in zip(determinized.elements, determinized.element_classes):
+            assert determinizer.known_class(term) == egraph.find(class_id)
+            assert egraph.lookup_term(term) == egraph.find(class_id)
+        assert determinizer.known_class(sphere()) is None
+        assert determinizer.known_class_hits == len(determinized)
+
     def test_extraction_error_abandons_the_signature(self, monkeypatch):
         # A class with no extractable term only rules out that signature.
         def no_term(self, class_id):

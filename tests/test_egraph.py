@@ -85,6 +85,25 @@ class TestEGraphBasics:
         root = egraph.add_term(term)
         assert egraph.extract_any(root) == term
 
+    def test_add_term_resolving_stops_at_resolved_subterms(self):
+        egraph = EGraph()
+        known = Term.parse("(Translate 1 2 3 Cube)")
+        known_id = egraph.add_term(known)
+        term = Term.parse("(Cons (Translate 1 2 3 Cube) (Cons Sphere Nil))")
+        asked = []
+
+        def resolve(sub):
+            asked.append(sub)
+            return known_id if sub == known else None
+
+        root = egraph.add_term_resolving(term, resolve)
+        assert root == egraph.lookup_term(term)
+        # Outermost first, and nothing below a resolved subterm is asked about.
+        assert asked[0] == term
+        assert Term("Cube") not in asked and Term(1) not in asked
+        # With nothing resolved it is plain add_term (hash-consed).
+        assert egraph.add_term_resolving(term, lambda sub: None) == root
+
 
 class TestMergeAndRebuild:
     def test_merge_makes_equal(self):

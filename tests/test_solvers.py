@@ -1,13 +1,21 @@
 """Unit tests for the closed-form solvers (the arithmetic component)."""
 
+import dataclasses
 import math
+import struct
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.lang.term import Term
 from repro.cad.evaluator import evaluate
-from repro.solvers.closed_form import SolverConfig, solve_component, solve_vectors
+from repro.solvers.closed_form import (
+    FunctionSolver,
+    SolverConfig,
+    solve_component,
+    solve_vectors,
+)
 from repro.solvers.forms import ConstantForm, LinearForm, QuadraticForm, RotationForm, SinusoidForm
 from repro.solvers.multilinear import MultilinearForm, fit_multilinear
 from repro.solvers.polynomial import fit_constant, fit_linear, fit_quadratic
@@ -38,6 +46,36 @@ class TestRational:
     def test_as_int_if_close(self):
         assert as_int_if_close(5.0000000001) == 5
         assert as_int_if_close(5.01) is None
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([1, 2, 7, 60, 720, 10_000]),
+    )
+    @example(-2.5, 720)
+    @example(7.0, 720)
+    @example(-3.0, 1)
+    @example(1.0 / 3.0, 720)
+    @example(-355.0 / 113.0, 720)
+    @example(2.5, 1)
+    @example(-2.5, 1)
+    @example(1.0 / 1441.0, 720)
+    @example(0.5 / 720.0, 720)
+    @example(0.0, 720)
+    @example(-0.0, 720)
+    @example(1e-300, 720)
+    @example(-1e-300, 720)
+    @example(5e15, 720)
+    @example(5e15 + 0.5, 7)
+    def test_rationalize_matches_fraction_limit_denominator(self, value, max_denominator):
+        expected = Fraction(value).limit_denominator(max_denominator)
+        assert rationalize(value, max_denominator) == expected
+        # nice_round snaps to the same float, bit for bit (signed zeros too).
+        for tolerance in (1e-6, 1e-3, 0.5):
+            snapped = float(expected)
+            old = snapped if abs(snapped - value) <= tolerance else value
+            new = nice_round(value, tolerance=tolerance, max_denominator=max_denominator)
+            assert struct.pack("d", new) == struct.pack("d", old)
 
 
 class TestPolynomialFits:
@@ -159,6 +197,54 @@ class TestModelSelection:
         loose = solve_component(noisy, SolverConfig(epsilon=0.05))
         assert loose is not None
         assert loose.form.max_residual(noisy) <= 0.05
+
+
+class TestSolverMemo:
+    _ROTATION_COLUMN = tuple(6.0 * (i + 1) for i in range(10))
+
+    def test_rotation_flag_keeps_separate_memo_entries(self):
+        solver = FunctionSolver()
+        plain = solver.solve_component(self._ROTATION_COLUMN, is_rotation=False)
+        rotation = solver.solve_component(self._ROTATION_COLUMN, is_rotation=True)
+        assert not isinstance(plain.form, RotationForm)
+        assert isinstance(rotation.form, RotationForm)
+        assert solver.memo_hits == 0
+        assert solver.solve_component(self._ROTATION_COLUMN, is_rotation=True) is rotation
+        assert (solver.component_calls, solver.memo_hits) == (3, 1)
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            (5.0, 5.0, 5.0),
+            (1.0, 3.0, 5.0, 7.0),
+            (0.0, 1.0, 4.0, 9.0, 16.0),
+            (0.0, 0.0, 0.0),
+            (-0.0, -0.0, -0.0),
+            (0.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0),
+            (1.0, 7.0, 2.0),
+        ],
+    )
+    @pytest.mark.parametrize("is_rotation", [False, True])
+    def test_memoized_solve_equals_fresh_solve(self, column, is_rotation):
+        config = SolverConfig()
+        solver = FunctionSolver(config)
+        first = solver.solve_component(column, is_rotation=is_rotation)
+        again = solver.solve_component(list(column), is_rotation=is_rotation)
+        fresh = solve_component(column, config, is_rotation=is_rotation)
+        assert first == again == fresh
+        assert solver.memo_hits == 1
+
+    def test_signed_zero_columns_do_not_share_an_entry(self):
+        solver = FunctionSolver()
+        solver.solve_component((0.0, 0.0, 0.0))
+        solver.solve_component((-0.0, -0.0, -0.0))
+        assert solver.memo_hits == 0
+
+    def test_closed_forms_are_frozen(self):
+        # Memoized solutions are shared between vector functions.
+        form = solve_component([1.0, 3.0, 5.0, 7.0]).form
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            form.a = 0.0
 
 
 class TestMultilinear:
