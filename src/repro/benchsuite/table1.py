@@ -218,6 +218,7 @@ def run_table1_batch(
     timeout: Optional[float] = None,
     on_event=None,
     mutate: Optional[Callable[[Term], Term]] = None,
+    trace: bool = False,
 ) -> Table1Report:
     """Run the suite through the batch service.
 
@@ -229,10 +230,14 @@ def run_table1_batch(
     without synthesizing.  Rows come back in benchmark order and carry the
     same content as :func:`run_table1`'s (timing aside); models that failed
     or timed out are reported in ``failures`` instead of as rows.
+    With ``trace``, every job records its span tree on
+    :attr:`~repro.service.job.JobResult.trace`.
     """
     benchmarks = list(benchmarks or BENCHMARKS)
     jobs, failures = benchmark_jobs(benchmarks, config, timeout=timeout, mutate=mutate)
-    service = SynthesisService(worker_count=worker_count, cache=cache, on_event=on_event)
+    service = SynthesisService(
+        worker_count=worker_count, cache=cache, on_event=on_event, trace=trace
+    )
     batch = service.run_batch(jobs)
 
     by_name = {benchmark.name: benchmark for benchmark in benchmarks}

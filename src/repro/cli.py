@@ -184,7 +184,10 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         cache=cache,
         on_event=_print_event if args.progress else None,
         mutate=mutate,
+        trace=bool(args.trace),
     )
+    if args.trace:
+        _append_job_traces(args.trace, report.batch.results)
     print(format_table(report.rows, report.failures))
     if cache is not None and report.batch is not None:
         print(
@@ -248,16 +251,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     )
     batch = service.run_batch(jobs)
     if args.trace:
-        from repro.obs.export import span_lines, write_trace_jsonl
-
-        written = 0
-        for result in batch.results:
-            if result.trace:
-                written += write_trace_jsonl(
-                    Path(args.trace),
-                    span_lines(result.job_id, result.name, result.trace),
-                )
-        print(f"-- trace: {written} span(s) appended to {args.trace}")
+        _append_job_traces(args.trace, batch.results)
 
     failures = build_failures + batch.failed
     for result in batch.results:
@@ -285,6 +279,19 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     payload["build_failures"] = [failure.to_dict() for failure in build_failures]
     _write_report(args.report, payload)
     return 0 if not failures else 1
+
+
+def _append_job_traces(path: str, results) -> None:
+    """Append each traced job's span tree to ``path`` (JSONL, one span per line)."""
+    from repro.obs.export import span_lines, write_trace_jsonl
+
+    written = 0
+    for result in results:
+        if result.trace:
+            written += write_trace_jsonl(
+                Path(path), span_lines(result.job_id, result.name, result.trace)
+            )
+    print(f"-- trace: {written} span(s) appended to {path}")
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -594,6 +601,11 @@ def build_parser() -> argparse.ArgumentParser:
     table1.add_argument("--report", help="write a JSON report of the run")
     table1.add_argument(
         "--progress", action="store_true", help="stream per-model progress events"
+    )
+    table1.add_argument(
+        "--trace", metavar="FILE",
+        help="run every model with per-phase span tracing and append the spans "
+        "to FILE (JSONL, one span per line; convert with `szalinski trace`)",
     )
     table1.set_defaults(func=_cmd_table1)
 

@@ -21,7 +21,13 @@ cache's semantic fingerprints are built on.
 
 Materialization is memoized per ``(class, signature)`` and the memo is
 dropped whenever :attr:`EGraph.version` moves (any new e-node or merge), so
-a memoized answer is always the one a fresh walk would give.  Every term
+a memoized answer is always the one a fresh walk would give.  The inference
+passes read a quiescent e-graph and write their equivalences as one batch
+at the end, so within a pass the version never moves and every key is
+materialized exactly once.  Each memo entry also holds the term's parsed
+affine chain, built layer by layer as the term is; a
+:class:`DeterminizedList` carries these chains next to its elements, so the
+inference components never re-parse a materialized term.  Every term
 materialized from a class is also remembered as *known* to live there
 (:meth:`Determinizer.known_class`): the inference components insert lists
 built from these terms with :meth:`EGraph.add_term_resolving`, which stops
@@ -33,10 +39,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.listmanip import AffineChain, sorted_order
+from repro.csg.ops import affine_chain, affine_vector
 from repro.egraph.egraph import EGraph, ENode
 from repro.egraph.extract import ExtractionError, Extractor, ast_size_cost
 from repro.lang.normal import AFFINE_OPS, affine_signature, signature_sort_key
 from repro.lang.term import Term
+
+#: A materialized term together with its parsed affine chain.
+Materialized = Tuple[Term, AffineChain]
 
 
 @dataclass
@@ -49,9 +60,26 @@ class DeterminizedList:
     signature: Tuple[str, ...]
     #: E-class ids the elements came from (parallel to ``elements``).
     element_classes: List[int]
+    #: Each element's affine chain ``(layers, core)`` as
+    #: :func:`~repro.csg.ops.affine_chain` parses it, layers as a tuple
+    #: (parallel to ``elements``).
+    chains: List[AffineChain]
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    def sorted(self) -> "DeterminizedList":
+        """This list sorted lexicographically by the elements' affine vectors.
+
+        Elements, chains and classes are reordered together.
+        """
+        order = sorted_order(self.chains)
+        return DeterminizedList(
+            elements=[self.elements[index] for index in order],
+            signature=self.signature,
+            element_classes=[self.element_classes[index] for index in order],
+            chains=[self.chains[index] for index in order],
+        )
 
 
 class Determinizer:
@@ -61,9 +89,9 @@ class Determinizer:
         self.egraph = egraph
         self.max_signature_depth = max_signature_depth
         self._extractor = Extractor(egraph, ast_size_cost)
-        #: (class, signature) -> materialized term (or None), valid while
-        #: the e-graph is at ``_memo_version``.
-        self._memo: Dict[Tuple[int, Tuple[str, ...]], Optional[Term]] = {}
+        #: (class, signature) -> (term, chain) (or None), valid while the
+        #: e-graph is at ``_memo_version``.
+        self._memo: Dict[Tuple[int, Tuple[str, ...]], Optional[Materialized]] = {}
         self._memo_version = egraph.version
         #: Materialized term -> the class it came from; stays valid for the
         #: e-graph's lifetime (classes only grow), read via ``find``.
@@ -71,6 +99,9 @@ class Determinizer:
         self.materialize_calls = 0
         self.materialize_memo_hits = 0
         self.known_class_hits = 0
+        #: 1 when the extractor found no reusable cost analysis (the graph
+        #: was not quiescent) and computed its cost table from scratch.
+        self.scratch_cost_tables = int(self._extractor.scratch_table)
 
     def known_class(self, term: Term) -> Optional[int]:
         """The e-class ``term`` was materialized from, or ``None``.
@@ -108,13 +139,14 @@ class Determinizer:
         for signature in self._candidate_signatures(element_classes[0]):
             if len(variants) >= max_variants:
                 break
-            elements = self._materialize_all(element_classes, signature)
-            if elements is not None:
+            materialized = self._materialize_all(element_classes, signature)
+            if materialized is not None:
                 variants.append(
                     DeterminizedList(
-                        elements=elements,
+                        elements=[term for term, _chain in materialized],
                         signature=signature,
                         element_classes=list(element_classes),
+                        chains=[chain for _term, chain in materialized],
                     )
                 )
         return variants
@@ -159,18 +191,20 @@ class Determinizer:
 
     def _materialize_all(
         self, element_classes: Sequence[int], signature: Tuple[str, ...]
-    ) -> Optional[List[Term]]:
+    ) -> Optional[List[Materialized]]:
         elements = []
         for class_id in element_classes:
-            term = self._materialize(class_id, signature)
-            if term is None:
+            materialized = self._materialize(class_id, signature)
+            if materialized is None:
                 return None
-            elements.append(term)
+            elements.append(materialized)
         return elements
 
-    def _materialize(self, class_id: int, signature: Tuple[str, ...]) -> Optional[Term]:
+    def _materialize(
+        self, class_id: int, signature: Tuple[str, ...]
+    ) -> Optional[Materialized]:
         """Extract a concrete term from ``class_id`` whose affine chain starts
-        with exactly the operators of ``signature``."""
+        with exactly the operators of ``signature``, with its parsed chain."""
         self.materialize_calls += 1
         if self._memo_version != self.egraph.version:
             self._memo.clear()
@@ -179,15 +213,15 @@ class Determinizer:
         if key in self._memo:
             self.materialize_memo_hits += 1
             return self._memo[key]
-        term = self._materialize_uncached(*key)
-        self._memo[key] = term
-        if term is not None:
-            self._sources.setdefault(term, key[0])
-        return term
+        materialized = self._materialize_uncached(*key)
+        self._memo[key] = materialized
+        if materialized is not None:
+            self._sources.setdefault(materialized[0], key[0])
+        return materialized
 
     def _materialize_uncached(
         self, class_id: int, signature: Tuple[str, ...]
-    ) -> Optional[Term]:
+    ) -> Optional[Materialized]:
         if not signature:
             try:
                 term = self._extractor.extract(class_id)
@@ -196,7 +230,8 @@ class Determinizer:
             # Reject terms that still start with an affine operator when an
             # empty signature was requested only if no alternative exists —
             # uniformity matters more than minimality, so accept what we got.
-            return term
+            layers, core = affine_chain(term)
+            return term, (tuple(layers), core)
         head = signature[0]
         for enode in self.egraph.nodes(class_id):
             if enode.op != head or len(enode.args) != 4:
@@ -214,7 +249,9 @@ class Determinizer:
             child = self._materialize(enode.args[3], signature[1:])
             if child is None:
                 continue
-            return Term(head, tuple(vector_terms) + (child,))
+            child_term, (child_layers, core) = child
+            term = Term(head, tuple(vector_terms) + (child_term,))
+            return term, (((head, affine_vector(term)),) + child_layers, core)
         return None
 
 

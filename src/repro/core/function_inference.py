@@ -7,8 +7,15 @@ For every ``Fold`` the rewrites introduced, this component:
    core child — otherwise a ``Mapi`` would not be semantics-preserving),
 3. extracts the per-layer vectors and asks the arithmetic solvers for a
    closed form of the index for every layer,
-4. on success, adds ``Mapi``-based e-nodes equivalent to the list into the
-   list's e-class (paper Fig. 9, "function inference" step).
+4. on success, records ``Mapi``-based terms equivalent to the list; once
+   every fold has been tried, the pass adds them all to the e-graph and
+   merges each into its list's e-class as one batch (paper Fig. 9,
+   "function inference" step).
+
+The pass only reads the e-graph until that final write: no e-node or merge
+lands while folds are still being determinized, so the determinizer's memo
+stays valid for the whole pass and every element is materialized (and its
+affine chain parsed) once.
 
 Two equivalent shapes are inserted: a single ``Mapi`` whose body nests all
 affine layers (the gear output of Fig. 4), and a chain of nested ``Mapi``\\ s
@@ -29,8 +36,7 @@ from repro.cad.build import cons_list, concat, fun, mapi, repeat
 from repro.core.config import SynthesisConfig
 from repro.core.determinize import DeterminizedList, Determinizer
 from repro.core.lists import ListReadError, find_fold_matches, read_list_elements
-from repro.core.listmanip import sort_elements
-from repro.csg.ops import BOOLEAN_OPS, affine_chain
+from repro.core.listmanip import AffineChain
 from repro.egraph.egraph import EGraph
 from repro.lang.term import Term
 from repro.solvers.closed_form import FunctionSolver, VectorFunction
@@ -68,14 +74,57 @@ class InferenceRecord:
         )
 
 
-def inference_counters(determinizer: Determinizer, solver: FunctionSolver) -> Counter:
-    """One inference run's memo and reuse counters (``determinize`` span attributes)."""
+#: One inferred equivalence awaiting its pass's batch write: the list's
+#: e-class, the terms equal to it, and the record describing them.
+PendingWrite = Tuple[int, List[Term], InferenceRecord]
+
+
+def write_equivalences(
+    egraph: EGraph,
+    pending: Sequence[PendingWrite],
+    resolve: Callable[[Term], Optional[int]],
+    records: List[InferenceRecord],
+) -> int:
+    """Write one pass's inferred lists as a batch; returns how many terms.
+
+    Each term is added over the classes ``resolve`` knows (the determinized
+    elements and their cores are already e-classes; only the new list
+    structure around them is added) and merged into its list's e-class.
+    Only after the whole batch does each record learn its canonical list
+    class and join ``records``.
+    """
+    written = 0
+    for list_class, terms, _record in pending:
+        for term in terms:
+            egraph.merge(list_class, egraph.add_term_resolving(term, resolve))
+            written += 1
+    for list_class, _terms, record in pending:
+        record.list_class = egraph.find(list_class)
+        records.append(record)
+    return written
+
+
+def inference_counters(
+    determinizer: Determinizer,
+    solver: FunctionSolver,
+    solver_start: Tuple[int, int],
+    **pass_counts: int,
+) -> Counter:
+    """One inference pass's counters (its span's attributes).
+
+    ``solver_start`` is the shared solver's ``(component_calls, memo_hits)``
+    when the pass began, so each pass counts only its own solves and the
+    per-pass counters sum to the phase's totals.
+    """
+    calls, hits = solver_start
     return Counter(
+        **pass_counts,
         materialize_calls=determinizer.materialize_calls,
         materialize_memo_hits=determinizer.materialize_memo_hits,
-        solve_component_calls=solver.component_calls,
-        solve_memo_hits=solver.memo_hits,
+        solve_component_calls=solver.component_calls - calls,
+        solve_memo_hits=solver.memo_hits - hits,
         known_class_hits=determinizer.known_class_hits,
+        scratch_cost_tables=determinizer.scratch_cost_tables,
     )
 
 
@@ -93,6 +142,8 @@ class FunctionInference:
 
     egraph: EGraph
     config: SynthesisConfig
+    #: Memoized per column, so one solver serves both passes of a phase.
+    solver: FunctionSolver
     records: List[InferenceRecord] = field(default_factory=list)
     #: Filled by :meth:`run`; see :func:`inference_counters`.
     counters: Counter = field(default_factory=Counter)
@@ -104,9 +155,10 @@ class FunctionInference:
         a subset of an already-solved fold's elements is skipped: the chains
         a flat trace produces contain every suffix of the full list as its
         own fold, and solving the suffixes adds nothing the full solution
-        does not already expose.
+        does not already expose.  The inferred lists are written to the
+        e-graph after the last fold, as one batch.
         """
-        solver = FunctionSolver(self.config.solver_config())
+        solver_start = (self.solver.component_calls, self.solver.memo_hits)
         determinizer = Determinizer(self.egraph)
         work = []
         for fold_class, function_class, _acc_class, list_class in find_fold_matches(self.egraph):
@@ -121,9 +173,10 @@ class FunctionInference:
             work.append((list_class, element_classes))
         work.sort(key=lambda item: -len(item[1]))
 
-        successes = 0
+        successes = skipped = attempted = 0
         covered: List[frozenset] = []
         failed: List[frozenset] = []
+        pending: List[PendingWrite] = []
         for list_class, element_classes in work:
             element_set = frozenset(element_classes)
             # Suffix folds of an already-solved longer chain add nothing and
@@ -132,7 +185,9 @@ class FunctionInference:
             # always attempted: a sub-group can have cleaner structure than
             # the (heuristically solved) enclosing list.
             if len(element_classes) > 8 and any(element_set <= done for done in covered):
+                skipped += 1
                 continue
+            attempted += 1
             # When a superset already failed, its sub-lists will fail the
             # (cheap) full inference the same way; skip the more expensive
             # partial-run search for them to avoid quadratic re-work over the
@@ -145,11 +200,7 @@ class FunctionInference:
             # function picks among them at extraction time.
             for determinized in variants:
                 if self._infer_for_list(
-                    list_class,
-                    determinized,
-                    solver,
-                    determinizer.known_class,
-                    allow_partial=allow_partial,
+                    list_class, determinized, pending, allow_partial=allow_partial
                 ):
                     solved = True
             if solved:
@@ -157,7 +208,19 @@ class FunctionInference:
                 covered.append(element_set)
             else:
                 failed.append(element_set)
-        self.counters = inference_counters(determinizer, solver)
+        written = write_equivalences(
+            self.egraph, pending, determinizer.known_class, self.records
+        )
+        self.counters = inference_counters(
+            determinizer,
+            self.solver,
+            solver_start,
+            folds=len(work),
+            folds_skipped_covered=skipped,
+            folds_attempted=attempted,
+            folds_solved=successes,
+            equivalences_written=written,
+        )
         return successes
 
     # -- helpers -------------------------------------------------------------------
@@ -177,28 +240,24 @@ class FunctionInference:
         self,
         list_class: int,
         determinized: DeterminizedList,
-        solver: FunctionSolver,
-        resolve: Callable[[Term], Optional[int]],
+        pending: List[PendingWrite],
         *,
         allow_partial: bool = True,
     ) -> bool:
-        elements = determinized.elements
-        orders: List[Sequence[Term]] = [elements]
+        """Infer closed forms for one determinized list; queue them on ``pending``."""
+        orders: List[DeterminizedList] = [determinized]
         if self.config.enable_list_sorting:
-            sorted_order = sort_elements(elements)
-            if list(sorted_order) != list(elements):
-                orders.append(sorted_order)
+            sorted_list = determinized.sorted()
+            if sorted_list.elements != determinized.elements:
+                orders.append(sorted_list)
 
         solved = False
         full_solved = False
         for order in orders:
-            built = self._infer_full(order, solver)
+            built = self._infer_full(order.chains)
             if built is not None:
                 terms, record = built
-                for term in terms:
-                    self._merge_list_term(list_class, term, resolve)
-                record.list_class = self.egraph.find(list_class)
-                self.records.append(record)
+                pending.append((list_class, terms, record))
                 solved = True
                 full_solved = True
                 break
@@ -213,35 +272,25 @@ class FunctionInference:
         # both variants go into the e-graph and extraction chooses.
         if not full_solved or len(determinized) <= 6:
             for order in orders:
-                built = self._infer_partial(order, solver)
+                built = self._infer_partial(order)
                 if built is not None:
                     terms, record = built
-                    for term in terms:
-                        self._merge_list_term(list_class, term, resolve)
-                    record.list_class = self.egraph.find(list_class)
-                    self.records.append(record)
+                    pending.append((list_class, terms, record))
                     solved = True
                     break
         return solved
 
-    def _merge_list_term(
-        self, list_class: int, term: Term, resolve: Callable[[Term], Optional[int]]
-    ) -> None:
-        # The determinized elements (and their cores) are already e-classes;
-        # only the new list structure around them is added.
-        new_id = self.egraph.add_term_resolving(term, resolve)
-        self.egraph.merge(list_class, new_id)
-
     # -- full-list inference ----------------------------------------------------------
 
     def _infer_full(
-        self, elements: Sequence[Term], solver: FunctionSolver
+        self, chains: Sequence[AffineChain]
     ) -> Optional[Tuple[List[Term], InferenceRecord]]:
-        decomposed = self._decompose(elements)
+        """Closed forms for a whole list, given its elements' affine chains."""
+        decomposed = self._decompose(chains)
         if decomposed is None:
             return None
         layers, core = decomposed
-        count = len(elements)
+        count = len(chains)
 
         if not layers:
             # No affine structure but all elements identical: a plain Repeat.
@@ -255,7 +304,7 @@ class FunctionInference:
                 ),
             )
 
-        solutions = self._solve_layers(layers, solver)
+        solutions = self._solve_layers(layers)
         if solutions is None:
             return None
 
@@ -272,37 +321,29 @@ class FunctionInference:
         return variants, record
 
     def _decompose(
-        self, elements: Sequence[Term]
+        self, chains: Sequence[AffineChain]
     ) -> Optional[Tuple[List[Tuple[str, List[Tuple[float, float, float]]]], Term]]:
-        """Split uniform elements into per-layer vector lists and the shared core."""
-        chains = []
-        cores = []
-        for element in elements:
-            layers, core = affine_chain(element)
-            chains.append(layers)
-            cores.append(core)
-        signature = tuple(op for op, _v in chains[0])
-        for chain in chains:
-            if tuple(op for op, _v in chain) != signature:
+        """Split uniform elements' chains into per-layer vector lists and the shared core."""
+        signature = tuple(op for op, _v in chains[0][0])
+        for layers, _core in chains:
+            if tuple(op for op, _v in layers) != signature:
                 return None
-        first_core = cores[0]
-        for core in cores:
+        first_core = chains[0][1]
+        for _layers, core in chains:
             if core != first_core:
                 return None
         layer_vectors: List[Tuple[str, List[Tuple[float, float, float]]]] = []
         for layer_index, op in enumerate(signature):
-            vectors = [chain[layer_index][1] for chain in chains]
+            vectors = [layers[layer_index][1] for layers, _core in chains]
             layer_vectors.append((op, vectors))
         return layer_vectors, first_core
 
     def _solve_layers(
-        self,
-        layers: Sequence[Tuple[str, List[Tuple[float, float, float]]]],
-        solver: FunctionSolver,
+        self, layers: Sequence[Tuple[str, List[Tuple[float, float, float]]]]
     ) -> Optional[List[LayerSolution]]:
         solutions: List[LayerSolution] = []
         for op, vectors in layers:
-            function = solver.solve(vectors, is_rotation=(op == "Rotate"))
+            function = self.solver.solve(vectors, is_rotation=(op == "Rotate"))
             if function is None:
                 return None
             solutions.append(LayerSolution(op=op, function=function))
@@ -335,7 +376,7 @@ class FunctionInference:
 
     # -- partial (contiguous-run) inference ----------------------------------------------
 
-    def _promising_runs(self, elements: Sequence[Term]) -> List[Tuple[int, int]]:
+    def _promising_runs(self, chains: Sequence[AffineChain]) -> List[Tuple[int, int]]:
         """Maximal contiguous runs whose outer affine vectors step uniformly.
 
         Runs are detected with a cheap constant-first-difference test on the
@@ -347,11 +388,8 @@ class FunctionInference:
         line, which is exactly how the noisy Fig. 16 model keeps its first
         two hexagons in a loop.
         """
-        count = len(elements)
-        vectors = []
-        for element in elements:
-            layers, _core = affine_chain(element)
-            vectors.append(layers[0][1] if layers else None)
+        count = len(chains)
+        vectors = [layers[0][1] if layers else None for layers, _core in chains]
 
         def step(index: int):
             a, b = vectors[index], vectors[index + 1]
@@ -383,13 +421,13 @@ class FunctionInference:
         return runs[:8]
 
     def _infer_partial(
-        self, elements: Sequence[Term], solver: FunctionSolver
+        self, determinized: DeterminizedList
     ) -> Optional[Tuple[List[Term], InferenceRecord]]:
+        elements, chains = determinized.elements, determinized.chains
         count = len(elements)
         best: Optional[Tuple[int, int, Term, InferenceRecord]] = None
-        for start, end in self._promising_runs(elements):
-            run = elements[start:end]
-            built = self._infer_full(run, solver)
+        for start, end in self._promising_runs(chains):
+            built = self._infer_full(chains[start:end])
             if built is None:
                 continue
             run_terms, record = built

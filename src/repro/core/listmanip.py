@@ -9,8 +9,10 @@ is commutative (``Union``/``Inter``), where it is semantics-preserving.
 Two layers are provided:
 
 * pure-term helpers (:func:`sort_elements`, :func:`group_by_child`,
-  :func:`group_by_component`) used by the inference components on the
-  determinized working list;
+  :func:`group_by_component`) over lists of element terms, and
+  :func:`sorted_order`, the same sort over already-parsed affine chains
+  (what :meth:`~repro.core.determinize.DeterminizedList.sorted` uses on the
+  determinized working list);
 * :func:`apply_list_manipulation`, which mirrors the paper's algorithm
   (Fig. 12) on the e-graph itself: it builds the reordered spine, wraps it in
   a new ``Fold`` e-node, and merges that node into the e-class of the
@@ -26,17 +28,27 @@ from repro.egraph.egraph import EGraph, ENode
 from repro.core.lists import add_term_list
 from repro.lang.term import Term
 
+#: An element's parsed affine chain: ``(layers, core)`` with ``layers`` the
+#: outermost-first ``(op, (x, y, z))`` pairs (see :func:`affine_chain`).
+AffineChain = Tuple[Tuple[Tuple[str, Tuple[float, float, float]], ...], Term]
 
-def _sort_key(element: Term) -> Tuple:
-    """Lexicographic key over the affine vectors of an element, outermost first."""
-    layers, core = affine_chain(element)
+
+def _sort_key(chain: AffineChain) -> Tuple:
+    """Lexicographic key over a chain's affine vectors, outermost first."""
+    layers, core = chain
     vectors = tuple(vector for _op, vector in layers)
     return (vectors, str(core.op))
 
 
+def sorted_order(chains: Sequence[AffineChain]) -> List[int]:
+    """The (stable) order that sorts elements by their parsed affine chains."""
+    return sorted(range(len(chains)), key=lambda index: _sort_key(chains[index]))
+
+
 def sort_elements(elements: Sequence[Term]) -> List[Term]:
     """Sort elements lexicographically by their affine-transformation vectors."""
-    return sorted(elements, key=_sort_key)
+    order = sorted_order([affine_chain(element) for element in elements])
+    return [elements[index] for index in order]
 
 
 def group_by_child(elements: Sequence[Term]) -> Dict[Term, List[Term]]:

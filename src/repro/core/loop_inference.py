@@ -9,8 +9,8 @@ folded list.  It follows the paper's two-step search:
   product of the per-dimension ranges, Fig. 13); the list elements are paired
   with those index tuples and the multilinear solver is asked for a closed
   form of every vector component.  On success a nested ``Fold`` of ``Fun``\\ s
-  over explicit index lists is built (the Fig. 14 / Fig. 17 output shape) and
-  merged into the list's e-class.
+  over explicit index lists is built (the Fig. 14 / Fig. 17 output shape)
+  for the list's e-class.
 * **irregular loops** — when no regular factorization fits, elements are
   regrouped by a shared coordinate of the outer vector; groups that admit a
   closed form become inner loops and the groups are concatenated.
@@ -18,6 +18,11 @@ folded list.  It follows the paper's two-step search:
 Both shapes evaluate (via the map-concatenate convention of the LambdaCAD
 evaluator) to a list equal, up to reordering, to the original — which is
 semantics-preserving under the commutative fold operators they appear in.
+
+Like function inference, the pass reads a quiescent e-graph (the pipeline
+rebuilds it after function inference, so the determinizer reuses the
+registered cost analysis) and writes every inferred loop as one batch at
+the end, merging each into its list's e-class.
 """
 
 from __future__ import annotations
@@ -29,11 +34,14 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.cad.build import concat, cons_list, fold, fun, int_list, mapi, nil, repeat
 from repro.core.config import SynthesisConfig
-from repro.core.determinize import Determinizer
-from repro.core.function_inference import InferenceRecord, inference_counters
+from repro.core.determinize import DeterminizedList, Determinizer
+from repro.core.function_inference import (
+    InferenceRecord,
+    PendingWrite,
+    inference_counters,
+    write_equivalences,
+)
 from repro.core.lists import ListReadError, find_fold_matches, read_list_elements
-from repro.core.listmanip import group_by_component, sort_elements
-from repro.csg.ops import affine_chain, is_affine
 from repro.egraph.egraph import EGraph
 from repro.lang.term import Term
 from repro.solvers.closed_form import FunctionSolver
@@ -91,6 +99,8 @@ class LoopInference:
 
     egraph: EGraph
     config: SynthesisConfig
+    #: Memoized per column, so one solver serves both passes of a phase.
+    solver: FunctionSolver
     records: List[InferenceRecord] = field(default_factory=list)
     #: Filled by :meth:`run`; see :func:`inference_counters`.
     counters: Counter = field(default_factory=Counter)
@@ -108,9 +118,11 @@ class LoopInference:
         useful regular factorization (the dice's 3x3 pip grid inside a larger
         irregular face list is the canonical example).  Every attempt here is
         cheap — a few least-squares fits — so there is no quadratic blow-up.
+        The inferred loops are written to the e-graph after the last fold,
+        as one batch.
         """
+        solver_start = (self.solver.component_calls, self.solver.memo_hits)
         determinizer = Determinizer(self.egraph)
-        solver = FunctionSolver(self.config.solver_config())
         work = []
         for _fold_class, function_class, _acc, list_class in find_fold_matches(self.egraph):
             if not self._commutative_function(function_class):
@@ -124,33 +136,45 @@ class LoopInference:
             work.append((list_class, element_classes))
         work.sort(key=lambda item: -len(item[1]))
 
-        successes = 0
+        successes = skipped = attempted = 0
         regular_covered: List[frozenset] = []
+        pending: List[PendingWrite] = []
         for list_class, element_classes in work:
             element_set = frozenset(element_classes)
             if any(element_set <= done for done in regular_covered):
+                skipped += 1
                 continue
+            attempted += 1
             built = None
             regular = False
             for determinized in determinizer.determinize_all(element_classes, max_variants=3):
-                elements = sort_elements(determinized.elements)
-                built = self._infer_regular(elements)
+                ordered = determinized.sorted()
+                built = self._infer_regular(ordered)
                 regular = built is not None
                 if built is None:
-                    built = self._infer_irregular(elements, solver)
+                    built = self._infer_irregular(ordered)
                 if built is not None:
                     break
             if built is None:
                 continue
             term, record = built
-            new_id = self.egraph.add_term_resolving(term, determinizer.known_class)
-            self.egraph.merge(list_class, new_id)
-            record.list_class = self.egraph.find(list_class)
-            self.records.append(record)
+            pending.append((list_class, [term], record))
             if regular:
                 regular_covered.append(element_set)
             successes += 1
-        self.counters = inference_counters(determinizer, solver)
+        written = write_equivalences(
+            self.egraph, pending, determinizer.known_class, self.records
+        )
+        self.counters = inference_counters(
+            determinizer,
+            self.solver,
+            solver_start,
+            folds=len(work),
+            folds_skipped_covered=skipped,
+            folds_attempted=attempted,
+            folds_solved=successes,
+            equivalences_written=written,
+        )
         return successes
 
     # -- shared helpers ---------------------------------------------------------------
@@ -162,38 +186,30 @@ class LoopInference:
         return False
 
     def _outer_layers(
-        self, elements: Sequence[Term]
+        self, determinized: DeterminizedList
     ) -> Optional[Tuple[str, List[Tuple[float, float, float]], Term, List[Tuple[str, Tuple[float, float, float]]]]]:
         """The outermost *varying* affine layer of a uniform element list.
 
-        Returns ``(op, vectors, remainder, constant_wrappers)`` where
-        ``constant_wrappers`` are leading affine layers that are identical
-        across every element (e.g. an identical ``Scale`` the determinizer
-        happened to put outermost); they are re-applied around the loop body.
-        The layer below the varying one must be identical across elements,
-        otherwise a single loop body cannot reproduce the list.
+        Reads the elements' carried affine chains.  Returns ``(op, vectors,
+        remainder, constant_wrappers)`` where ``constant_wrappers`` are
+        leading affine layers that are identical across every element (e.g.
+        an identical ``Scale`` the determinizer happened to put outermost);
+        they are re-applied around the loop body.  The layer below the
+        varying one must be identical across elements, otherwise a single
+        loop body cannot reproduce the list.
         """
-        if not elements or not all(is_affine(e) for e in elements):
+        elements, chains = determinized.elements, determinized.chains
+        if not elements:
             return None
-
-        def layer_of(element: Term, depth: int) -> Optional[Term]:
-            current = element
-            for _ in range(depth):
-                if not is_affine(current):
-                    return None
-                current = current.children[3]
-            return current
-
         constant_wrappers: List[Tuple[str, Tuple[float, float, float]]] = []
         depth = 0
         while True:
-            heads = [layer_of(e, depth) for e in elements]
-            if any(h is None or not is_affine(h) for h in heads):
+            if any(len(layers) <= depth for layers, _core in chains):
                 return None
-            op = heads[0].op
-            if any(h.op != op for h in heads):
+            op = chains[0][0][depth][0]
+            if any(layers[depth][0] != op for layers, _core in chains):
                 return None
-            vectors = [affine_chain(h)[0][0][1] for h in heads]
+            vectors = [layers[depth][1] for layers, _core in chains]
             first_vector = vectors[0]
             constant_tolerance = max(self.config.epsilon, 1e-9)
             if all(
@@ -206,7 +222,7 @@ class LoopInference:
                 if depth > 6:
                     return None
                 continue
-            remainders = [h.children[3] for h in heads]
+            remainders = [_below_layer(element, depth) for element in elements]
             first = remainders[0]
             if any(r != first for r in remainders):
                 return None
@@ -215,13 +231,13 @@ class LoopInference:
     # -- regular nested loops -----------------------------------------------------------
 
     def _infer_regular(
-        self, elements: Sequence[Term]
+        self, determinized: DeterminizedList
     ) -> Optional[Tuple[Term, InferenceRecord]]:
-        outer = self._outer_layers(elements)
+        outer = self._outer_layers(determinized)
         if outer is None:
             return None
         op, vectors, remainder, wrappers = outer
-        count = len(elements)
+        count = len(determinized)
         max_nesting = min(self.config.max_loop_nesting, 3)
 
         for nesting in range(2, max_nesting + 1):
@@ -284,9 +300,10 @@ class LoopInference:
     # -- irregular loops ------------------------------------------------------------------
 
     def _infer_irregular(
-        self, elements: Sequence[Term], solver: FunctionSolver
+        self, determinized: DeterminizedList
     ) -> Optional[Tuple[Term, InferenceRecord]]:
-        outer = self._outer_layers(elements)
+        elements = determinized.elements
+        outer = self._outer_layers(determinized)
         if outer is None:
             return None
         op, vectors, remainder, wrappers = outer
@@ -310,7 +327,7 @@ class LoopInference:
                     parts.append(cons_list([elements[index] for _v, index in members]))
                     continue
                 member_vectors = [vector for vector, _index in members]
-                function = solver.solve(member_vectors, is_rotation=(op == "Rotate"))
+                function = self.solver.solve(member_vectors, is_rotation=(op == "Rotate"))
                 if function is None:
                     usable = False
                     break
@@ -333,6 +350,13 @@ class LoopInference:
             )
             return combined, record
         return None
+
+
+def _below_layer(element: Term, depth: int) -> Term:
+    """The subterm under affine layer ``depth`` of ``element``'s chain."""
+    for _ in range(depth + 1):
+        element = element.children[3]
+    return element
 
 
 def _group_vectors_by_component(vectors, component: int, *, epsilon: float):

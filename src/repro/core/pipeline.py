@@ -7,9 +7,10 @@ LambdaCAD programs:
 2. until the fuel runs out (one outer iteration by default, as in the paper):
    a. apply the syntactic rewrites to saturation (uninterpreted component),
    b. determinize folded lists, reorder them, and run the arithmetic
-      components — closed-form function inference and nested-loop
-      inference — which merge ``Mapi``/``Fold``-based e-nodes back into the
-      e-graph;
+      components — closed-form function inference, then nested-loop
+      inference — each of which reads the e-graph and then merges its
+      ``Mapi``/``Fold``-based e-nodes back in as one batch; the e-graph is
+      rebuilt after each;
 3. extract the top-k programs under the configured cost function.
 """
 
@@ -34,6 +35,7 @@ from repro.egraph.runner import BackoffConfig, Runner, RunnerLimits, RunReport
 from repro.lang.canon import canonical_term_text, term_from_canonical
 from repro.lang.term import Term
 from repro.obs.trace import NULL_TRACER
+from repro.solvers.closed_form import FunctionSolver
 
 
 @dataclass(frozen=True)
@@ -186,9 +188,11 @@ def synthesize(
     ``tracer`` (a :class:`repro.obs.trace.Tracer`) records per-phase spans:
     ``saturate`` and ``determinize`` per outer iteration (each ``saturate``
     containing per-iteration ``search``/``apply``/``rebuild`` children via
-    the runner), then ``extract``.  The caller owns the enclosing root span
-    (the worker wraps everything in a ``job`` span); when ``tracer`` is
-    omitted the shared null tracer makes every span a no-op.
+    the runner, each ``determinize`` its ``function_inference`` and
+    ``loop_inference`` passes), then ``extract``.  The caller owns the
+    enclosing root span (the worker wraps everything in a ``job`` span);
+    when ``tracer`` is omitted the shared null tracer makes every span a
+    no-op.
     """
     config = config or SynthesisConfig()
     tracer = NULL_TRACER if tracer is None else tracer
@@ -254,19 +258,28 @@ def synthesize(
             records_before = len(inference_records)
             changed = False
             counters = Counter()
+            # One memoized solver serves both passes: its answers depend on
+            # the column alone.  Each pass writes its equivalences at its
+            # end; the rebuild after it hands the next pass (and extraction)
+            # a quiescent graph whose cost analysis the determinizer reuses.
+            solver = FunctionSolver(config.solver_config())
+            passes = []
             if config.enable_function_inference:
-                function_inference = FunctionInference(egraph, config)
-                if function_inference.run():
-                    changed = True
-                inference_records.extend(function_inference.records)
-                counters.update(function_inference.counters)
+                passes.append(("function_inference", FunctionInference))
             if config.enable_loop_inference:
-                loop_inference = LoopInference(egraph, config)
-                if loop_inference.run():
-                    changed = True
-                inference_records.extend(loop_inference.records)
-                counters.update(loop_inference.counters)
-            egraph.rebuild()
+                passes.append(("loop_inference", LoopInference))
+            for name, component in passes:
+                with tracer.span(name) as pass_span:
+                    inference = component(egraph, config, solver=solver)
+                    if inference.run():
+                        changed = True
+                    egraph.rebuild()
+                    if pass_span is not None:
+                        pass_span.update(
+                            {"inference_records": len(inference.records), **inference.counters}
+                        )
+                inference_records.extend(inference.records)
+                counters.update(inference.counters)
             if det_span is not None:
                 det_span.update(
                     {

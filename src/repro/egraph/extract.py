@@ -147,8 +147,11 @@ class Extractor:
         self.egraph = egraph
         self.cost_function = cost_function
         self._analysis = self._registered_analysis()
+        #: True when no reusable analysis was registered and the cost table
+        #: was computed here from scratch.
+        self.scratch_table = self._analysis is None
         self._best: Optional[Dict[int, Tuple[float, ENode]]] = None
-        if self._analysis is None:
+        if self.scratch_table:
             self._best = {}
             self._compute()
         self._term_memo: Dict[int, Term] = {}

@@ -8,7 +8,9 @@ rank selection over the bucket counts: ``percentile(q)`` finds the
 bucket containing the ``ceil(q·count)``-th smallest sample and reports
 that bucket's upper bound (clamped to the observed max), so the reported
 value is an upper bound on the true percentile within one bucket ratio
-(``10^(1/8) ≈ 1.334``).
+(``10^(1/8) ≈ 1.334``).  Samples at or below the grid's 1 µs floor share
+the first bucket but are also counted apart, so a percentile that falls
+among them reports the floor itself, not the first bucket's upper bound.
 
 :class:`MetricsAggregator` is the piece the batch service and the
 resident daemon own: it ingests per-job traces and outcomes into
@@ -50,11 +52,13 @@ def _bucket_index(seconds: float) -> int:
 class LatencyHistogram:
     """Fixed log-bucket latency histogram with exact-rank percentile lookup."""
 
-    __slots__ = ("counts", "count", "total", "min", "max")
+    __slots__ = ("counts", "count", "floor_count", "total", "min", "max")
 
     def __init__(self) -> None:
         self.counts: Dict[int, int] = {}
         self.count = 0
+        #: Samples at or below the grid floor (also counted in bucket 0).
+        self.floor_count = 0
         self.total = 0.0
         self.min = math.inf
         self.max = 0.0
@@ -65,6 +69,8 @@ class LatencyHistogram:
         idx = _bucket_index(seconds)
         self.counts[idx] = self.counts.get(idx, 0) + 1
         self.count += 1
+        if seconds <= _MIN_LATENCY:
+            self.floor_count += 1
         self.total += seconds
         if seconds < self.min:
             self.min = seconds
@@ -75,6 +81,7 @@ class LatencyHistogram:
         for idx, n in other.counts.items():
             self.counts[idx] = self.counts.get(idx, 0) + n
         self.count += other.count
+        self.floor_count += other.floor_count
         self.total += other.total
         if other.count:
             self.min = min(self.min, other.min)
@@ -85,6 +92,9 @@ class LatencyHistogram:
         if self.count == 0:
             return 0.0
         rank = max(1, math.ceil(q * self.count))
+        if rank <= self.floor_count:
+            # The smallest samples are the sub-floor ones.
+            return min(_MIN_LATENCY, self.max)
         cumulative = 0
         for idx in sorted(self.counts):
             cumulative += self.counts[idx]

@@ -191,8 +191,9 @@ class FunctionSolver:
     The config is fixed per instance, so the solver memoizes
     :func:`solve_component` per ``(column, is_rotation)``: the suffix folds
     of a flat chain present the same columns over and over.  The memo lives
-    as long as the instance (one inference run); the shared solutions hold
-    frozen closed forms, so reusing them is safe.
+    as long as the instance (one ``determinize`` phase, shared by both
+    inference passes); the shared solutions hold frozen closed forms, so
+    reusing them is safe.
     """
 
     def __init__(self, config: Optional[SolverConfig] = None):

@@ -486,6 +486,31 @@ class TestObservabilityCLI:
         for spans in by_job.values():
             assert validate_spans(spans) == []
 
+    def test_table1_trace_covers_every_model(self, tmp_path, capsys, monkeypatch):
+        import repro.benchsuite.table1 as table1_module
+        from repro.benchsuite.suite import get_benchmark
+        from repro.obs import read_trace_jsonl, validate_spans
+
+        models = [get_benchmark("relay-box"), get_benchmark("hc-bits")]
+        monkeypatch.setattr(table1_module, "BENCHMARKS", models)
+        trace = tmp_path / "table1.jsonl"
+        assert main(["table1", "--trace", str(trace)]) == 0
+        assert "span(s) appended" in capsys.readouterr().out
+        assert main(["table1", "--trace", str(trace)]) == 0  # appends
+
+        by_job = {}
+        for record in read_trace_jsonl(trace):
+            by_job.setdefault(record["job_id"], []).append(record)
+        assert len(by_job) == 4
+        assert sorted(spans[0]["model"] for spans in by_job.values()) == sorted(
+            ["relay-box", "hc-bits"] * 2
+        )
+        for spans in by_job.values():
+            assert validate_spans(spans) == []
+            assert {"determinize", "function_inference", "loop_inference"} <= {
+                s["name"] for s in spans
+            }
+
     def test_trace_command_summarizes_and_converts(self, csg_file, tmp_path, capsys):
         trace = tmp_path / "spans.jsonl"
         chrome = tmp_path / "chrome.json"

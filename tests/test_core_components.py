@@ -1,14 +1,19 @@
 """Unit tests for the core components: lists, determinizer, list manipulation,
 cost functions, and program analysis."""
 
+from collections import Counter
+
 import pytest
 
 from repro.benchsuite.models import fig2_translated_cubes
+from repro.benchsuite.suite import get_benchmark
 from repro.cad.build import cons_list, fold_union, fun, int_list, mapi, repeat, fold, nil
 from repro.core.analysis import find_loops, function_kinds
 from repro.core.cost import COST_FUNCTIONS, ast_size_cost_fn, get_cost_function, reward_loops_cost_fn
 import repro.core.determinize as determinize_module
 from repro.core.determinize import Determinizer, chain_uniform
+from repro.core.function_inference import FunctionInference
+from repro.core.loop_inference import LoopInference
 from repro.core.lists import (
     ListReadError,
     add_cons_spine,
@@ -20,10 +25,12 @@ from repro.core.listmanip import apply_list_manipulation, group_by_component, so
 from repro.core.pipeline import synthesize
 from repro.core.rules import default_rules
 from repro.csg.build import cube, rotate, scale, sphere, translate, union, union_all, unit
+from repro.csg.ops import affine_chain
 from repro.egraph.egraph import EGraph, ENode
 from repro.egraph.extract import ExtractionError, Extractor
 from repro.egraph.runner import Runner
 from repro.lang.term import Term
+from repro.obs.trace import Tracer
 
 
 class TestListSpines:
@@ -158,6 +165,117 @@ class TestDeterminizer:
         monkeypatch.setattr(determinize_module, "Extractor", BrokenExtractor)
         with pytest.raises(ZeroDivisionError, match="extractor bug"):
             synthesize(fig2_translated_cubes(5))
+
+
+def _grid(columns: int, rows: int) -> Term:
+    """A flat union of cubes on a regular grid: both passes infer something."""
+    return union_all(
+        [translate(2.0 * i, 3.0 * j, 0, cube()) for i in range(columns) for j in range(rows)]
+    )
+
+
+class TestInferencePasses:
+    """Each inference pass reads a quiescent e-graph, then writes one batch."""
+
+    def test_writes_come_after_the_last_determinization(self, monkeypatch):
+        events = []
+
+        def spy(owner, name, label):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                events.append(label)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("merge", "add_term", "add_term_resolving", "add_enode"):
+            spy(EGraph, name, "write")
+        spy(Determinizer, "determinize_all", "read")
+        for component in (FunctionInference, LoopInference):
+            original_run = component.run
+
+            def run(self, _original=original_run, _name=component.__name__):
+                events.append(("start", _name))
+                try:
+                    return _original(self)
+                finally:
+                    events.append(("end", _name))
+
+            monkeypatch.setattr(component, "run", run)
+
+        tracer = Tracer()
+        synthesize(_grid(3, 2), tracer=tracer)
+        passes = {}
+        for index, event in enumerate(events):
+            if isinstance(event, tuple):
+                kind, name = event
+                passes.setdefault(name, {})[kind] = index
+        assert set(passes) == {"FunctionInference", "LoopInference"}
+        for name, bounds in passes.items():
+            inside = events[bounds["start"] + 1 : bounds["end"]]
+            last_read = max(i for i, e in enumerate(inside) if e == "read")
+            writes = [i for i, e in enumerate(inside) if e == "write"]
+            assert writes, name
+            assert min(writes) > last_read, name
+        written = {
+            span["name"]: span["attrs"]["equivalences_written"]
+            for span in tracer.export()
+            if span["name"] in ("function_inference", "loop_inference")
+        }
+        assert written["function_inference"] > 0 and written["loop_inference"] > 0
+
+    def test_each_key_is_materialized_once_per_pass(self, monkeypatch):
+        # Suffix folds of the chain determinize the same element classes
+        # again; a write landing mid-pass would move the e-graph's version,
+        # drop the memo and materialize those keys a second time.
+        keys = {}
+        original = Determinizer._materialize
+
+        def materialize(self, class_id, signature):
+            keys.setdefault(id(self), set()).add((self.egraph.find(class_id), signature))
+            return original(self, class_id, signature)
+
+        monkeypatch.setattr(Determinizer, "_materialize", materialize)
+        tracer = Tracer()
+        synthesize(fig2_translated_cubes(6), tracer=tracer)
+        spans = [
+            span["attrs"]
+            for span in tracer.export()
+            if span["name"] in ("function_inference", "loop_inference")
+        ]
+        assert len(spans) == len(keys) == 2
+        for attrs, distinct in zip(spans, keys.values()):
+            assert attrs["materialize_memo_hits"] > 0
+            assert attrs["materialize_calls"] - attrs["materialize_memo_hits"] == len(distinct)
+
+    @pytest.mark.parametrize("name", ["hc-bits", "relay-box", "card-org"])
+    def test_carried_chains_match_a_fresh_parse(self, monkeypatch, name):
+        # Differential oracle: every chain the determinizer carries is what
+        # affine_chain would parse from its element, also once sorted.
+        checked = []
+        original = Determinizer.determinize_all
+
+        def determinize_all(self, element_classes, max_variants=4):
+            variants = original(self, element_classes, max_variants)
+            for variant in variants:
+                for view in (variant, variant.sorted()):
+                    assert len(view.chains) == len(view.elements)
+                    for element, (layers, core) in zip(view.elements, view.chains):
+                        fresh_layers, fresh_core = affine_chain(element)
+                        assert (layers, core) == (tuple(fresh_layers), fresh_core)
+                sorted_view = variant.sorted()
+                assert sorted_view.elements == sort_elements(variant.elements)
+                # Elements travel with their classes.
+                assert Counter(zip(sorted_view.elements, sorted_view.element_classes)) == Counter(
+                    zip(variant.elements, variant.element_classes)
+                )
+                checked.append(len(variant))
+            return variants
+
+        monkeypatch.setattr(Determinizer, "determinize_all", determinize_all)
+        synthesize(get_benchmark(name).build())
+        assert checked
 
 
 class TestListManipulation:

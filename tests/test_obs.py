@@ -13,6 +13,7 @@ import math
 
 import pytest
 
+from repro.benchsuite.models import fig2_translated_cubes
 from repro.core.config import SynthesisConfig
 from repro.core.pipeline import synthesize
 from repro.csg.build import translate, union_all, unit
@@ -341,6 +342,42 @@ class TestPipelineTracing:
                 assert by_id[span["parent_id"]]["name"] == "iteration"
             if span["name"] == "iteration":
                 assert by_id[span["parent_id"]]["name"] == "saturate"
+
+    def test_determinize_span_has_one_child_per_inference_pass(self):
+        tracer = Tracer()
+        result = synthesize(fig2_translated_cubes(5), SynthesisConfig(), tracer=tracer)
+        spans = tracer.export()
+        assert validate_spans(spans) == []
+        (determinize,) = [s for s in spans if s["name"] == "determinize"]
+        children = [s for s in spans if s["parent_id"] == determinize["span_id"]]
+        assert [c["name"] for c in children] == ["function_inference", "loop_inference"]
+        function_pass = children[0]["attrs"]
+        assert function_pass["folds_solved"] > 0
+        assert function_pass["equivalences_written"] >= function_pass["folds_solved"]
+        for child in children:
+            attrs = child["attrs"]
+            assert attrs["folds"] == attrs["folds_attempted"] + attrs["folds_skipped_covered"]
+            assert attrs["folds_solved"] <= attrs["folds_attempted"]
+            # Each pass reads a rebuilt graph: the registered cost analysis
+            # serves extraction, no cost table is recomputed from scratch.
+            assert attrs["scratch_cost_tables"] == 0
+        # The phase span keeps the sums; the shared solver is counted once.
+        for key in (
+            "folds",
+            "folds_skipped_covered",
+            "folds_attempted",
+            "folds_solved",
+            "equivalences_written",
+            "materialize_calls",
+            "materialize_memo_hits",
+            "solve_component_calls",
+            "solve_memo_hits",
+            "known_class_hits",
+            "scratch_cost_tables",
+            "inference_records",
+        ):
+            assert determinize["attrs"][key] == sum(c["attrs"][key] for c in children), key
+        assert determinize["attrs"]["inference_records"] == len(result.inference_records)
 
     def test_iteration_spans_carry_report_counters(self):
         tracer = Tracer()
