@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cad.build import cons_list, concat, fun, mapi, repeat
 from repro.core.config import SynthesisConfig
@@ -84,47 +84,65 @@ def write_equivalences(
     pending: Sequence[PendingWrite],
     resolve: Callable[[Term], Optional[int]],
     records: List[InferenceRecord],
-) -> int:
-    """Write one pass's inferred lists as a batch; returns how many terms.
+) -> Tuple[int, int]:
+    """Write one pass's inferred lists as a batch.
 
     Each term is added over the classes ``resolve`` knows (the determinized
     elements and their cores are already e-classes; only the new list
     structure around them is added) and merged into its list's e-class.
-    Only after the whole batch does each record learn its canonical list
-    class and join ``records``.
+    The batch keeps one ``Term -> class`` memo that every add fills and the
+    resolver reads (through ``find``) after ``resolve``: the variants of a
+    list, and the lists of one pass, share lambda bodies and index lists,
+    and each distinct subterm is inserted once.  Only after the whole batch
+    does each record learn its canonical list class and join ``records``.
+
+    Returns how many terms were written and how many subterms the batch
+    memo answered.
     """
+    added: Dict[Term, int] = {}
+    hits = 0
+
+    def resolve_batch(term: Term) -> Optional[int]:
+        nonlocal hits
+        class_id = resolve(term)
+        if class_id is None:
+            class_id = added.get(term)
+            if class_id is None:
+                return None
+            hits += 1
+            class_id = egraph.find(class_id)
+        return class_id
+
     written = 0
     for list_class, terms, _record in pending:
         for term in terms:
-            egraph.merge(list_class, egraph.add_term_resolving(term, resolve))
+            egraph.merge(list_class, egraph.add_term_resolving(term, resolve_batch, added))
             written += 1
     for list_class, _terms, record in pending:
         record.list_class = egraph.find(list_class)
         records.append(record)
-    return written
+    return written, hits
 
 
 def inference_counters(
     determinizer: Determinizer,
     solver: FunctionSolver,
-    solver_start: Tuple[int, int],
+    solver_start: Dict[str, int],
     **pass_counts: int,
 ) -> Counter:
     """One inference pass's counters (its span's attributes).
 
-    ``solver_start`` is the shared solver's ``(component_calls, memo_hits)``
-    when the pass began, so each pass counts only its own solves and the
-    per-pass counters sum to the phase's totals.
+    ``solver_start`` is a copy of the shared solver's :attr:`counts` when
+    the pass began, so each pass counts only its own solves and renders and
+    the per-pass counters sum to the phase's totals.
     """
-    calls, hits = solver_start
     return Counter(
         **pass_counts,
         materialize_calls=determinizer.materialize_calls,
         materialize_memo_hits=determinizer.materialize_memo_hits,
-        solve_component_calls=solver.component_calls - calls,
-        solve_memo_hits=solver.memo_hits - hits,
         known_class_hits=determinizer.known_class_hits,
         scratch_cost_tables=determinizer.scratch_cost_tables,
+        **{name: total - solver_start[name] for name, total in solver.counts.items()},
     )
 
 
@@ -158,7 +176,7 @@ class FunctionInference:
         does not already expose.  The inferred lists are written to the
         e-graph after the last fold, as one batch.
         """
-        solver_start = (self.solver.component_calls, self.solver.memo_hits)
+        solver_start = dict(self.solver.counts)
         determinizer = Determinizer(self.egraph)
         work = []
         for fold_class, function_class, _acc_class, list_class in find_fold_matches(self.egraph):
@@ -208,7 +226,7 @@ class FunctionInference:
                 covered.append(element_set)
             else:
                 failed.append(element_set)
-        written = write_equivalences(
+        written, subterm_hits = write_equivalences(
             self.egraph, pending, determinizer.known_class, self.records
         )
         self.counters = inference_counters(
@@ -220,6 +238,7 @@ class FunctionInference:
             folds_attempted=attempted,
             folds_solved=successes,
             equivalences_written=written,
+            batch_subterm_hits=subterm_hits,
         )
         return successes
 
@@ -356,7 +375,7 @@ class FunctionInference:
         index = Term("i")
         body: Term = Term("c")
         for solution in reversed(list(solutions)):
-            x, y, z = solution.function.to_terms(index)
+            x, y, z = self.solver.render_terms(solution.function, index)
             body = Term(solution.op, (x, y, z, body))
         return mapi(fun(("i", "c"), body), repeat(core, count))
 
@@ -369,7 +388,7 @@ class FunctionInference:
         index = Term("i")
         current: Term = repeat(core, count)
         for solution in reversed(list(solutions)):
-            x, y, z = solution.function.to_terms(index)
+            x, y, z = self.solver.render_terms(solution.function, index)
             body = Term(solution.op, (x, y, z, Term("c")))
             current = mapi(fun(("i", "c"), body), current)
         return current

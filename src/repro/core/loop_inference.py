@@ -121,7 +121,7 @@ class LoopInference:
         The inferred loops are written to the e-graph after the last fold,
         as one batch.
         """
-        solver_start = (self.solver.component_calls, self.solver.memo_hits)
+        solver_start = dict(self.solver.counts)
         determinizer = Determinizer(self.egraph)
         work = []
         for _fold_class, function_class, _acc, list_class in find_fold_matches(self.egraph):
@@ -162,7 +162,7 @@ class LoopInference:
             if regular:
                 regular_covered.append(element_set)
             successes += 1
-        written = write_equivalences(
+        written, subterm_hits = write_equivalences(
             self.egraph, pending, determinizer.known_class, self.records
         )
         self.counters = inference_counters(
@@ -174,6 +174,7 @@ class LoopInference:
             folds_attempted=attempted,
             folds_solved=successes,
             equivalences_written=written,
+            batch_subterm_hits=subterm_hits,
         )
         return successes
 
@@ -284,8 +285,8 @@ class LoopInference:
         wrappers: Sequence[Tuple[str, Tuple[float, float, float]]] = (),
     ) -> Term:
         """The Fig. 14 output shape: nested Folds of Funs over index lists."""
-        index_vars = [Term(self._INDEX_NAMES[level]) for level in range(len(dimensions))]
-        x, y, z = (form.to_term(index_vars) for form in forms)
+        index_vars = tuple(Term(self._INDEX_NAMES[level]) for level in range(len(dimensions)))
+        x, y, z = (self.solver.render(form, index_vars) for form in forms)
         body: Term = Term(op, (x, y, z, remainder))
         body = self._wrap_constant_layers(body, wrappers)
         # Innermost level first: Fold (Fun k -> body, Nil, [0..d-1]).
@@ -331,7 +332,7 @@ class LoopInference:
                 if function is None:
                     usable = False
                     break
-                x, y, z = function.to_terms(Term("j"))
+                x, y, z = self.solver.render_terms(function, Term("j"))
                 body = Term(op, (x, y, z, Term("c")))
                 body = self._wrap_constant_layers(body, wrappers)
                 parts.append(mapi(fun(("j", "c"), body), repeat(remainder, len(members))))

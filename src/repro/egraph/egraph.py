@@ -237,6 +237,8 @@ class EGraph:
         #: ``_enode_count`` it never decreases).
         self.enodes_created = 0
         self.version = 0  # bumped on every structural change; used by runners
+        #: ``version`` when the last full :meth:`rebuild` finished.
+        self._rebuilt_version = 0
 
     # -- basic queries -----------------------------------------------------------
 
@@ -458,7 +460,10 @@ class EGraph:
         return self.add_enode(ENode(term.op, args))
 
     def add_term_resolving(
-        self, term: Term, resolve: Callable[[Term], Optional[int]]
+        self,
+        term: Term,
+        resolve: Callable[[Term], Optional[int]],
+        added: Optional[Dict[Term, int]] = None,
     ) -> int:
         """:meth:`add_term` for a term built over subterms already present.
 
@@ -466,13 +471,20 @@ class EGraph:
         id it returns must already represent that subterm, which is then
         used as is instead of being re-added node by node.  Inferred lists
         (``Mapi``/``Concat``/``Cons`` over determinized elements) are
-        inserted this way.
+        inserted this way.  ``added``, when given, records the e-class of
+        every subterm this call adds, so a ``resolve`` that reads it inserts
+        each distinct subterm of a batch once.
         """
         class_id = resolve(term)
         if class_id is not None:
             return class_id
-        args = tuple(self.add_term_resolving(child, resolve) for child in term.children)
-        return self.add_enode(ENode(term.op, args))
+        args = tuple(
+            self.add_term_resolving(child, resolve, added) for child in term.children
+        )
+        class_id = self.add_enode(ENode(term.op, args))
+        if added is not None:
+            added[term] = class_id
+        return class_id
 
     def add_leaf(self, op: Operator) -> int:
         """Insert a leaf e-node."""
@@ -558,9 +570,16 @@ class EGraph:
         improvements never create new merges by themselves — except through
         :meth:`Analysis.modify`, which is handled by the outer loop.
 
-        Returns the number of repair passes performed.  Safe to call when
-        nothing is pending.
+        Returns the number of repair passes performed.  Returns 0 at once
+        when nothing is pending and nothing was added or merged since the
+        last full rebuild: the hashcons is then already canonical.
         """
+        if (
+            not self._pending
+            and not self._analysis_pending
+            and self.version == self._rebuilt_version
+        ):
+            return 0
         passes = 0
         while self._pending or self._analysis_pending:
             if self._pending:
@@ -571,6 +590,7 @@ class EGraph:
                     self._repair(class_id)
             self._process_analysis_pending()
         self._rebuild_hashcons()
+        self._rebuilt_version = self.version
         return passes
 
     def _repair(self, class_id: int) -> None:

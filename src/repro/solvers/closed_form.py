@@ -1,23 +1,41 @@
 """Model selection across the closed-form solvers.
 
 ``solve_component`` tries, in order, the constant, degree-1, degree-2, and
-trigonometric families, keeps every feasible fit (max residual within
-epsilon), and returns the one with the best coefficient of determination —
-ties broken by the *simplest* rendered expression, so a constant beats an
-equivalent degree-2 fit.  ``solve_vectors`` solves the three components of a
-list of 3-vectors independently, which is exactly how the paper's function
-inference decomposes the problem (Section 4.1).
+trigonometric families (the last only when no polynomial fits), keeps every
+feasible fit (max residual within epsilon; each ``fit_*`` returns only
+feasible forms), and returns the one ranking first on
+
+1. the highest coefficient of determination R², rounded to 9 digits;
+2. for rotation components, the periodic 360/n shape (below);
+3. the *simplest* rendered expression, so a constant beats an equivalent
+   degree-2 fit;
+
+with remaining ties going to the earliest candidate.  R² is computed once
+per candidate.  A feasible constant whose R² rounds to 1 is returned at
+once, without fitting the other families, because nothing can outrank it:
+its R² is maximal; the rotation shape needs a non-zero integer slope,
+while a least-squares slope through values equal up to rounding is itself
+within rounding of 0; and the constant is the simplest term and the first
+candidate, so it wins any remaining tie.  ``solve_vectors`` solves
+the three components of a list of 3-vectors independently, which is
+exactly how the paper's function inference decomposes the problem
+(Section 4.1).
 
 The rotation heuristic from the paper is applied here: when the solved
 component feeds a ``Rotate``, a feasible linear fit ``a*i + b`` whose step
 divides 360 is re-expressed as ``360 * (i [+1]) / n`` (a
 :class:`~repro.solvers.forms.RotationForm`), which surfaces the loop bound
 (e.g. the gear's 60 teeth) directly in the program text.
+
+``tally`` (a :class:`collections.Counter`, which :class:`FunctionSolver`
+passes) counts ``solver_constant_shortcuts`` and the ``frequency_solves``
+of the trigonometric fit.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -95,54 +113,70 @@ def solve_component(
     config: Optional[SolverConfig] = None,
     *,
     is_rotation: bool = False,
+    tally: Optional[Counter] = None,
 ) -> Optional[ComponentSolution]:
-    """Find the best closed form for one vector component."""
+    """Find the best closed form for one vector component.
+
+    ``tally``, when given, counts ``solver_constant_shortcuts`` and
+    ``frequency_solves`` (see the module docstring).
+    """
     config = config or SolverConfig()
     values = [float(v) for v in values]
     if not values:
         return None
+    epsilon = config.epsilon
 
     # The paper tries the polynomial families first and only falls back to
     # the trigonometric solver when no polynomial fits (Section 4.1).  This
     # ordering also keeps noisy-but-constant data from being "explained" by a
-    # sinusoid that interpolates the noise.
-    candidates: List[ClosedForm] = []
+    # sinusoid that interpolates the noise.  Every fit returns only feasible
+    # forms, so the candidates need no second epsilon check.
+    scored: List[Tuple[ClosedForm, float]] = []
 
-    constant = fit_constant(values, config.epsilon)
+    def add(form: ClosedForm) -> float:
+        r_squared = form.r_squared(values)
+        scored.append((form, r_squared))
+        return r_squared
+
+    constant = fit_constant(values, epsilon)
     if constant is not None:
-        candidates.append(constant)
+        r_squared = add(constant)
+        if round(r_squared, 9) == 1.0:
+            # Nothing can outrank it; see the module docstring.
+            if tally is not None:
+                tally["solver_constant_shortcuts"] += 1
+            return ComponentSolution(form=constant, r_squared=r_squared)
 
-    linear = fit_linear(values, config.epsilon)
+    linear = fit_linear(values, epsilon)
     if linear is not None:
         if is_rotation and config.rotation_heuristic:
             rotation = _rotation_normalize(linear, values, config)
             if rotation is not None:
-                candidates.append(rotation)
-        candidates.append(linear)
+                add(rotation)
+        add(linear)
 
-    quadratic = fit_quadratic(values, config.epsilon)
+    quadratic = fit_quadratic(values, epsilon)
     if quadratic is not None:
-        candidates.append(quadratic)
+        add(quadratic)
 
-    feasible = [c for c in candidates if c.satisfies(values, config.epsilon)]
+    if not scored and config.enable_trig and len(set(values)) >= 2:
+        sinusoid = fit_sinusoid(values, epsilon, tally=tally)
+        if sinusoid is not None:
+            add(sinusoid)
 
-    if not feasible and config.enable_trig and len(set(values)) >= 2:
-        sinusoid = fit_sinusoid(values, config.epsilon)
-        if sinusoid is not None and sinusoid.satisfies(values, config.epsilon):
-            feasible = [sinusoid]
-
-    if not feasible:
+    if not scored:
         return None
 
-    def rank(form: ClosedForm) -> Tuple[float, int, int]:
+    def rank(candidate: Tuple[ClosedForm, float]) -> Tuple[float, int, int]:
         # Maximize R^2 (so sort on its negation), then — for rotation
         # components — prefer the periodic 360/n shape (the paper's rotation
         # heuristic), then prefer simpler terms.
+        form, r_squared = candidate
         rotation_preference = 0 if (is_rotation and isinstance(form, RotationForm)) else 1
-        return (-round(form.r_squared(values), 9), rotation_preference, form.complexity())
+        return (-round(r_squared, 9), rotation_preference, form.complexity())
 
-    best = min(feasible, key=rank)
-    return ComponentSolution(form=best, r_squared=best.r_squared(values))
+    best, r_squared = min(scored, key=rank)
+    return ComponentSolution(form=best, r_squared=r_squared)
 
 
 @dataclass
@@ -153,10 +187,6 @@ class VectorFunction:
     y: ClosedForm
     z: ClosedForm
     r_squared: float = 1.0
-
-    def to_terms(self, index: Term) -> Tuple[Term, Term, Term]:
-        """Render the three component expressions over the index variable."""
-        return (self.x.to_term(index), self.y.to_term(index), self.z.to_term(index))
 
     def predict(self, index: int) -> Tuple[float, float, float]:
         return (self.x.predict(index), self.y.predict(index), self.z.predict(index))
@@ -185,40 +215,80 @@ class VectorFunction:
         return f"({self.x.describe()}, {self.y.describe()}, {self.z.describe()})"
 
 
+#: The solver's running counters, named as the inference pass spans report
+#: them (each pass reports its own deltas; see ``inference_counters``).
+SOLVER_COUNTERS = (
+    "solve_component_calls",
+    "solve_memo_hits",
+    "solver_constant_shortcuts",
+    "frequency_solves",
+    "render_memo_hits",
+)
+
+
 class FunctionSolver:
     """Facade over the component solvers, operating on lists of 3-vectors.
 
     The config is fixed per instance, so the solver memoizes
     :func:`solve_component` per ``(column, is_rotation)``: the suffix folds
-    of a flat chain present the same columns over and over.  The memo lives
-    as long as the instance (one ``determinize`` phase, shared by both
-    inference passes); the shared solutions hold frozen closed forms, so
-    reusing them is safe.
+    of a flat chain present the same columns over and over.  It also
+    memoizes rendering (:meth:`render`) per ``(form, index)``, since the
+    same solved forms are rendered into every inferred shape.  Both memos
+    live as long as the instance (one ``determinize`` phase, shared by both
+    inference passes); the shared solutions hold frozen closed forms and
+    terms are immutable, so reusing them is safe.
     """
 
     def __init__(self, config: Optional[SolverConfig] = None):
         self.config = config or SolverConfig()
         self._memo: Dict[tuple, Optional[ComponentSolution]] = {}
-        #: Component solves requested, and how many the memo answered.
-        self.component_calls = 0
-        self.memo_hits = 0
+        self._rendered: Dict[tuple, Term] = {}
+        #: Running totals of :data:`SOLVER_COUNTERS`.
+        self.counts: Counter = Counter(dict.fromkeys(SOLVER_COUNTERS, 0))
 
     def solve_component(
         self, column: Sequence[float], *, is_rotation: bool = False
     ) -> Optional[ComponentSolution]:
         """:func:`solve_component` under this solver's config, memoized."""
-        self.component_calls += 1
+        self.counts["solve_component_calls"] += 1
         column = tuple(column)
         key = (column, is_rotation)
         if 0.0 in column:
             # -0.0 == 0.0, so equal columns may still differ in a zero's sign.
             key += (tuple(math.copysign(1.0, v) for v in column),)
         if key in self._memo:
-            self.memo_hits += 1
+            self.counts["solve_memo_hits"] += 1
             return self._memo[key]
-        solution = solve_component(column, self.config, is_rotation=is_rotation)
+        solution = solve_component(
+            column, self.config, is_rotation=is_rotation, tally=self.counts
+        )
         self._memo[key] = solution
         return solution
+
+    def render(self, form, index) -> Term:
+        """``form.to_term(index)``, memoized per ``(form, index)``.
+
+        Forms compare by value, and value-equal forms render alike: every
+        float parameter is read through ``nice_round`` (which maps -0.0 to
+        0.0) or compared with ``==``, so ``ConstantForm(-0.0)`` shares
+        ``ConstantForm(0.0)``'s entry safely.  ``index`` is a term, or a
+        tuple of terms for a multilinear form.
+        """
+        key = (form, index)
+        term = self._rendered.get(key)
+        if term is None:
+            term = self._rendered[key] = form.to_term(index)
+        else:
+            self.counts["render_memo_hits"] += 1
+        return term
+
+    def render_terms(self, function: VectorFunction, index: Term) -> Tuple[Term, Term, Term]:
+        """Render the three component expressions over the index variable."""
+        return (
+            self.render(function.x, index),
+            self.render(function.y, index),
+            self.render(function.z, index),
+        )
 
     def solve(
         self, vectors: Sequence[Sequence[float]], *, is_rotation: bool = False

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.cad.build import add, div, mul, sin, sub
 from repro.lang.term import Term
@@ -54,9 +54,6 @@ class ClosedForm:
 
     def predict(self, index: int) -> float:
         raise NotImplementedError
-
-    def predictions(self, count: int) -> List[float]:
-        return [self.predict(i) for i in range(count)]
 
     def max_residual(self, values: Sequence[float]) -> float:
         """Largest absolute error against the observed values."""

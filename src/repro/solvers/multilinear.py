@@ -26,9 +26,13 @@ from repro.solvers.rational import as_int_if_close, nice_round
 _SNAP_TOLERANCE = 5e-3
 
 
-@dataclass
+@dataclass(frozen=True)
 class MultilinearForm:
-    """``sum_k coefficients[k] * index_k + intercept``."""
+    """``sum_k coefficients[k] * index_k + intercept``.
+
+    Frozen, like the single-index forms, so rendered terms can be memoized
+    per form value.
+    """
 
     coefficients: Tuple[float, ...]
     intercept: float

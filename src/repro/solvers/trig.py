@@ -13,6 +13,10 @@ sinusoidal family and judges fits by R².  We do the same with numpy:
   ``360/(n+1)``, plus harmonics) and then refining the best candidate with a
   local Gauss–Newton iteration.
 
+Within one :func:`fit_sinusoid` call each distinct frequency is solved
+once: the scan, the refinement's revisits of a frequency it already tried,
+and the final re-solve of the refined frequency all read a per-call memo.
+
 Phases and frequencies are reported in degrees, matching the programs the
 paper prints (``Sin (90 * i + 315)``).
 """
@@ -20,7 +24,8 @@ paper prints (``Sin (90 * i + 315)``).
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,9 +33,13 @@ from repro.solvers.forms import SinusoidForm
 from repro.solvers.rational import nice_round
 
 
+#: ``(offset, amplitude, phase_degrees, residual)`` of a fixed-frequency fit.
+FrequencyFit = Tuple[float, float, float, float]
+
+
 def _solve_fixed_frequency(
     indices: np.ndarray, values: np.ndarray, frequency_degrees: float
-) -> Tuple[float, float, float, float]:
+) -> FrequencyFit:
     """Best (offset, amplitude, phase_degrees, residual) for a fixed frequency."""
     radians = np.radians(frequency_degrees * indices)
     design = np.column_stack([np.ones_like(indices), np.sin(radians), np.cos(radians)])
@@ -62,18 +71,18 @@ def _candidate_frequencies(count: int) -> List[float]:
 
 
 def _refine_frequency(
-    indices: np.ndarray, values: np.ndarray, frequency: float, rounds: int = 25
+    solve: Callable[[float], FrequencyFit], frequency: float, rounds: int = 25
 ) -> float:
     """Local search refinement of the frequency around an initial guess."""
     best_frequency = frequency
-    _, _, _, best_residual = _solve_fixed_frequency(indices, values, frequency)
+    _, _, _, best_residual = solve(frequency)
     step = max(frequency * 0.05, 0.5)
     for _ in range(rounds):
         improved = False
         for candidate in (best_frequency - step, best_frequency + step):
             if candidate <= 0.0 or candidate > 720.0:
                 continue
-            _, _, _, residual = _solve_fixed_frequency(indices, values, candidate)
+            _, _, _, residual = solve(candidate)
             if residual < best_residual - 1e-12:
                 best_residual = residual
                 best_frequency = candidate
@@ -86,31 +95,35 @@ def _refine_frequency(
 
 
 def fit_sinusoid(
-    values: Sequence[float],
-    epsilon: float,
-    *,
-    extra_frequencies: Iterable[float] = (),
+    values: Sequence[float], epsilon: float, *, tally: Optional[Counter] = None
 ) -> Optional[SinusoidForm]:
     """Fit ``offset + a*sin(b*i + c)`` within ``epsilon`` (degrees).
 
     Returns ``None`` when no candidate frequency produces a fit within the
     tolerance, or when the data is too short to constrain the model (fewer
     than 4 points: any 3 points lie on some sinusoid, which would make the
-    solver claim spurious structure).
+    solver claim spurious structure).  Each distinct frequency is solved
+    once per call; ``tally["frequency_solves"]``, when given, counts them.
     """
     values = list(values)
     if len(values) < 4:
         return None
     indices = np.arange(len(values), dtype=float)
     observations = np.asarray(values, dtype=float)
+    solved: Dict[float, FrequencyFit] = {}
+
+    def solve(frequency: float) -> FrequencyFit:
+        fit = solved.get(frequency)
+        if fit is None:
+            fit = solved[frequency] = _solve_fixed_frequency(indices, observations, frequency)
+            if tally is not None:
+                tally["frequency_solves"] += 1
+        return fit
 
     best: Optional[SinusoidForm] = None
     best_residual = math.inf
-    candidates = list(extra_frequencies) + _candidate_frequencies(len(values))
-    for frequency in candidates:
-        offset, amplitude, phase, residual = _solve_fixed_frequency(
-            indices, observations, frequency
-        )
+    for frequency in _candidate_frequencies(len(values)):
+        offset, amplitude, phase, residual = solve(frequency)
         if residual < best_residual:
             best_residual = residual
             best = SinusoidForm(amplitude, frequency, phase, offset)
@@ -118,10 +131,8 @@ def fit_sinusoid(
     if best is None:
         return None
 
-    refined_frequency = _refine_frequency(indices, observations, best.frequency)
-    offset, amplitude, phase, residual = _solve_fixed_frequency(
-        indices, observations, refined_frequency
-    )
+    refined_frequency = _refine_frequency(solve, best.frequency)
+    offset, amplitude, phase, residual = solve(refined_frequency)
     if residual < best_residual:
         best = SinusoidForm(amplitude, refined_frequency, phase, offset)
         best_residual = residual

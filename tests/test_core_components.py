@@ -11,6 +11,8 @@ from repro.cad.build import cons_list, fold_union, fun, int_list, mapi, repeat, 
 from repro.core.analysis import find_loops, function_kinds
 from repro.core.cost import COST_FUNCTIONS, ast_size_cost_fn, get_cost_function, reward_loops_cost_fn
 import repro.core.determinize as determinize_module
+import repro.core.function_inference as function_inference_module
+import repro.core.loop_inference as loop_inference_module
 from repro.core.determinize import Determinizer, chain_uniform
 from repro.core.function_inference import FunctionInference
 from repro.core.loop_inference import LoopInference
@@ -31,6 +33,24 @@ from repro.egraph.extract import ExtractionError, Extractor
 from repro.egraph.runner import Runner
 from repro.lang.term import Term
 from repro.obs.trace import Tracer
+from repro.solvers.forms import (
+    ClosedForm,
+    ConstantForm,
+    LinearForm,
+    QuadraticForm,
+    RotationForm,
+    SinusoidForm,
+)
+from repro.solvers.multilinear import MultilinearForm
+
+FORM_CLASSES = (
+    ConstantForm,
+    LinearForm,
+    QuadraticForm,
+    RotationForm,
+    SinusoidForm,
+    MultilinearForm,
+)
 
 
 class TestListSpines:
@@ -276,6 +296,91 @@ class TestInferencePasses:
         monkeypatch.setattr(Determinizer, "determinize_all", determinize_all)
         synthesize(get_benchmark(name).build())
         assert checked
+
+
+class TestInferenceMemos:
+    """Each pass's batch write and each phase's renders do their work once."""
+
+    @pytest.mark.parametrize("name", ["gear", "hc-bits"])
+    def test_batch_adds_each_distinct_subterm_once(self, monkeypatch, name):
+        batches = []
+        original_write = function_inference_module.write_equivalences
+        original_add = EGraph.add_enode
+
+        def write(egraph, pending, resolve, records):
+            # The distinct subterms the resolver does not know, found by
+            # walking every queued term down to its known subterms.
+            unresolved = set()
+
+            def walk(term):
+                if resolve(term) is None and term not in unresolved:
+                    unresolved.add(term)
+                    for child in term.children:
+                        walk(child)
+
+            for _list_class, terms, _record in pending:
+                for term in terms:
+                    walk(term)
+            adds = []
+
+            def add_enode(self, enode):
+                adds.append(enode)
+                return original_add(self, enode)
+
+            monkeypatch.setattr(EGraph, "add_enode", add_enode)
+            try:
+                written = original_write(egraph, pending, resolve, records)
+            finally:
+                monkeypatch.setattr(EGraph, "add_enode", original_add)
+            batches.append((len(adds), len(unresolved), written))
+            return written
+
+        for module in (function_inference_module, loop_inference_module):
+            monkeypatch.setattr(module, "write_equivalences", write)
+        tracer = Tracer()
+        synthesize(get_benchmark(name).build(), tracer=tracer)
+        hits = [
+            span["attrs"]["batch_subterm_hits"]
+            for span in tracer.export()
+            if span["name"] in ("function_inference", "loop_inference")
+        ]
+        assert len(batches) == len(hits) == 2
+        for (adds, distinct, (written, subterm_hits)), span_hits in zip(batches, hits):
+            assert adds == distinct
+            assert subterm_hits == span_hits
+        # The function pass shares lambda bodies between its variants.
+        assert batches[0][2][1] > 0
+
+    @pytest.mark.parametrize("name", ["gear", "dice"])
+    def test_each_form_is_rendered_once_per_phase(self, monkeypatch, name):
+        renders = Counter()
+        ranking = []
+        original_complexity = ClosedForm.complexity
+
+        def complexity(self):
+            # Ranking sizes candidates by rendering them; that is not one
+            # of the inferred terms' renders.
+            ranking.append(self)
+            try:
+                return original_complexity(self)
+            finally:
+                ranking.pop()
+
+        monkeypatch.setattr(ClosedForm, "complexity", complexity)
+        for form_class in FORM_CLASSES:
+            original = form_class.to_term
+
+            def to_term(self, index, _original=original):
+                if not ranking:
+                    renders[(self, index)] += 1
+                return _original(self, index)
+
+            monkeypatch.setattr(form_class, "to_term", to_term)
+        tracer = Tracer()
+        synthesize(get_benchmark(name).build(), tracer=tracer)
+        assert renders and max(renders.values()) == 1
+        (determinize,) = [s for s in tracer.export() if s["name"] == "determinize"]
+        assert determinize["attrs"]["render_memo_hits"] > 0
 
 
 class TestListManipulation:

@@ -104,6 +104,20 @@ class TestEGraphBasics:
         # With nothing resolved it is plain add_term (hash-consed).
         assert egraph.add_term_resolving(term, lambda sub: None) == root
 
+    def test_add_term_resolving_records_added_subterms(self):
+        egraph = EGraph()
+        term = Term.parse("(Cons (Translate 1 2 3 Cube) (Cons Sphere Nil))")
+        added = {}
+        root = egraph.add_term_resolving(term, added.get, added)
+        # Every subterm the call added is recorded with its class.
+        assert added[term] == root
+        for sub in (Term.parse("(Translate 1 2 3 Cube)"), Term("Sphere"), Term("Nil")):
+            assert added[sub] == egraph.lookup_term(sub)
+        # A resolver reading the record re-adds nothing.
+        enodes = egraph.enodes_created
+        assert egraph.add_term_resolving(term, added.get, added) == root
+        assert egraph.enodes_created == enodes
+
 
 class TestMergeAndRebuild:
     def test_merge_makes_equal(self):
@@ -173,6 +187,63 @@ class TestMergeAndRebuild:
         egraph.add_term(Term.parse("(Union Cube Sphere)"))
         dump = egraph.dump()
         assert "Union" in dump and "Cube" in dump
+
+
+class TestNoOpRebuild:
+    """``rebuild`` skips its full hashcons pass when nothing changed."""
+
+    def _rebuilt_graph(self):
+        egraph = EGraph()
+        egraph.add_term(Term.parse("(Translate 1 2 3 Cube)"))
+        egraph.add_term(Term.parse("(Translate 1 2 3 Sphere)"))
+        egraph.rebuild()
+        return egraph
+
+    def _count_full_passes(self, monkeypatch):
+        calls = []
+        original = EGraph._rebuild_hashcons
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(EGraph, "_rebuild_hashcons", counted)
+        return calls
+
+    def test_back_to_back_rebuild_skips_the_full_pass(self, monkeypatch):
+        egraph = self._rebuilt_graph()
+        calls = self._count_full_passes(monkeypatch)
+        assert egraph.rebuild() == 0
+        assert calls == []
+        assert egraph.check_invariants()
+
+    @pytest.mark.parametrize("change", ["add_enode", "merge"])
+    def test_a_change_after_rebuild_triggers_the_full_pass(self, monkeypatch, change):
+        egraph = self._rebuilt_graph()
+        calls = self._count_full_passes(monkeypatch)
+        cube = Term.parse("(Translate 1 2 3 Cube)")
+        sphere = Term.parse("(Translate 1 2 3 Sphere)")
+        if change == "add_enode":
+            egraph.add_enode(ENode("Cylinder"))
+        else:
+            egraph.merge(egraph.lookup_term(Term("Cube")), egraph.lookup_term(Term("Sphere")))
+        egraph.rebuild()
+        assert len(calls) == 1
+        assert egraph.check_invariants()
+        # Congruence closes over the merge (and only over it).
+        congruent = egraph.find(egraph.lookup_term(cube)) == egraph.find(
+            egraph.lookup_term(sphere)
+        )
+        assert congruent == (change == "merge")
+        egraph.rebuild()
+        assert len(calls) == 1
+
+    def test_re_adding_an_existing_node_keeps_the_skip(self, monkeypatch):
+        egraph = self._rebuilt_graph()
+        calls = self._count_full_passes(monkeypatch)
+        egraph.add_term(Term.parse("(Translate 1 2 3 Cube)"))
+        egraph.rebuild()
+        assert calls == []
 
 
 class TestMergeDataPolicy:

@@ -375,8 +375,21 @@ class TestPipelineTracing:
             "known_class_hits",
             "scratch_cost_tables",
             "inference_records",
+            "batch_subterm_hits",
+            "render_memo_hits",
+            "solver_constant_shortcuts",
+            "frequency_solves",
         ):
             assert determinize["attrs"][key] == sum(c["attrs"][key] for c in children), key
+        # The repeated Mapi bodies and constant columns exercise the memos.
+        assert function_pass["batch_subterm_hits"] > 0
+        assert function_pass["render_memo_hits"] > 0
+        assert determinize["attrs"]["solver_constant_shortcuts"] > 0
+        assert (
+            determinize["attrs"]["solver_constant_shortcuts"]
+            <= determinize["attrs"]["solve_component_calls"]
+            - determinize["attrs"]["solve_memo_hits"]
+        )
         assert determinize["attrs"]["inference_records"] == len(result.inference_records)
 
     def test_iteration_spans_carry_report_counters(self):

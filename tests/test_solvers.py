@@ -3,16 +3,22 @@
 import dataclasses
 import math
 import struct
+from collections import Counter
 from fractions import Fraction
+
+import numpy as np
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.lang.term import Term
 from repro.cad.evaluator import evaluate
+from repro.solvers import trig
 from repro.solvers.closed_form import (
+    ComponentSolution,
     FunctionSolver,
     SolverConfig,
+    _rotation_normalize,
     solve_component,
     solve_vectors,
 )
@@ -208,9 +214,9 @@ class TestSolverMemo:
         rotation = solver.solve_component(self._ROTATION_COLUMN, is_rotation=True)
         assert not isinstance(plain.form, RotationForm)
         assert isinstance(rotation.form, RotationForm)
-        assert solver.memo_hits == 0
+        assert solver.counts["solve_memo_hits"] == 0
         assert solver.solve_component(self._ROTATION_COLUMN, is_rotation=True) is rotation
-        assert (solver.component_calls, solver.memo_hits) == (3, 1)
+        assert (solver.counts["solve_component_calls"], solver.counts["solve_memo_hits"]) == (3, 1)
 
     @pytest.mark.parametrize(
         "column",
@@ -232,19 +238,246 @@ class TestSolverMemo:
         again = solver.solve_component(list(column), is_rotation=is_rotation)
         fresh = solve_component(column, config, is_rotation=is_rotation)
         assert first == again == fresh
-        assert solver.memo_hits == 1
+        assert solver.counts["solve_memo_hits"] == 1
 
     def test_signed_zero_columns_do_not_share_an_entry(self):
         solver = FunctionSolver()
         solver.solve_component((0.0, 0.0, 0.0))
         solver.solve_component((-0.0, -0.0, -0.0))
-        assert solver.memo_hits == 0
+        assert solver.counts["solve_memo_hits"] == 0
 
     def test_closed_forms_are_frozen(self):
         # Memoized solutions are shared between vector functions.
         form = solve_component([1.0, 3.0, 5.0, 7.0]).form
         with pytest.raises(dataclasses.FrozenInstanceError):
             form.a = 0.0
+
+
+def _reference_fit_sinusoid(values, epsilon):
+    """``fit_sinusoid`` without its frequency memo: every solve is fresh."""
+    values = list(values)
+    if len(values) < 4:
+        return None
+    indices = np.arange(len(values), dtype=float)
+    observations = np.asarray(values, dtype=float)
+
+    def solve(frequency):
+        return trig._solve_fixed_frequency(indices, observations, frequency)
+
+    best, best_residual = None, math.inf
+    for frequency in trig._candidate_frequencies(len(values)):
+        offset, amplitude, phase, residual = solve(frequency)
+        if residual < best_residual:
+            best_residual = residual
+            best = SinusoidForm(amplitude, frequency, phase, offset)
+    if best is None:
+        return None
+    refined = trig._refine_frequency(solve, best.frequency)
+    offset, amplitude, phase, residual = solve(refined)
+    if residual < best_residual:
+        best = SinusoidForm(amplitude, refined, phase, offset)
+    snap = max(5e-3, epsilon)
+    snapped = SinusoidForm(
+        nice_round(best.amplitude, tolerance=snap),
+        nice_round(best.frequency, tolerance=snap),
+        nice_round(best.phase, tolerance=snap) % 360.0,
+        nice_round(best.offset, tolerance=snap),
+    )
+    if snapped.satisfies(values, epsilon):
+        return snapped
+    if best.satisfies(values, epsilon):
+        return best
+    return None
+
+
+def _reference_solve_component(values, config=None, *, is_rotation=False):
+    """The full-candidate model selection: fit every family, re-check every
+    candidate against epsilon, then rank (no short-circuit, no reuse)."""
+    config = config or SolverConfig()
+    values = [float(v) for v in values]
+    if not values:
+        return None
+    candidates = []
+    constant = fit_constant(values, config.epsilon)
+    if constant is not None:
+        candidates.append(constant)
+    linear = fit_linear(values, config.epsilon)
+    if linear is not None:
+        if is_rotation and config.rotation_heuristic:
+            rotation = _rotation_normalize(linear, values, config)
+            if rotation is not None:
+                candidates.append(rotation)
+        candidates.append(linear)
+    quadratic = fit_quadratic(values, config.epsilon)
+    if quadratic is not None:
+        candidates.append(quadratic)
+    feasible = [c for c in candidates if c.satisfies(values, config.epsilon)]
+    if not feasible and config.enable_trig and len(set(values)) >= 2:
+        sinusoid = _reference_fit_sinusoid(values, config.epsilon)
+        if sinusoid is not None and sinusoid.satisfies(values, config.epsilon):
+            feasible = [sinusoid]
+    if not feasible:
+        return None
+
+    def rank(form):
+        preference = 0 if (is_rotation and isinstance(form, RotationForm)) else 1
+        return (-round(form.r_squared(values), 9), preference, form.complexity())
+
+    best = min(feasible, key=rank)
+    return ComponentSolution(form=best, r_squared=best.r_squared(values))
+
+
+def _bits(solution):
+    """A solution with every float spelled exactly (so -0.0 != 0.0)."""
+    if solution is None:
+        return None
+    fields = dataclasses.astuple(solution.form)
+    return (
+        type(solution.form).__name__,
+        tuple(v.hex() if isinstance(v, float) else v for v in fields),
+        solution.r_squared.hex(),
+    )
+
+
+class TestSolverDifferential:
+    """The short-circuiting solver returns bit-identical solutions."""
+
+    COLUMNS = [
+        # Exact constants, signed zeros included.
+        (5.0, 5.0, 5.0, 5.0),
+        (0.0, -0.0, 0.0),
+        (-0.0, -0.0, -0.0, -0.0, -0.0),
+        (0.1, 0.1, 0.1),  # the float mean is not exactly 0.1
+        (7.25,),
+        (1e6, 1e6, 1e6, 1e6, 1e6, 1e6),
+        # Near-constant noisy columns: the constant is feasible but its R^2
+        # is below 1, so an exact quadratic (or line) must still win ...
+        (5.0008, 5.0002, 5.0, 5.0002, 5.0008),
+        tuple(-0.0009 + 0.0003 * i for i in range(7)),
+        (-0.0009, 0.0009),
+        # ... or the constant wins on simplicity below R^2 = 1.
+        (3.0, 3.0004, 3.0, 3.0004, 3.0),
+        # Rotation steps.
+        tuple(6.0 * (i + 1) for i in range(10)),
+        tuple(30.0 * i for i in range(12)),
+        tuple(45.0 + 90.0 * i for i in range(4)),
+        tuple(-6.0 * i for i in range(5)),
+        # An aliased sinusoid: 90 and 270 degrees agree at integer points.
+        (0.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0),
+        tuple(round(math.sin(math.radians(90 * i + 315)), 12) for i in range(8)),
+        tuple(2.0 + 3.0 * math.sin(math.radians(60 * i)) for i in range(7)),
+        # Infeasible.
+        (1.0, 17.0, 2.0, 23.0, 3.0, 31.0, 4.0),
+    ]
+
+    @pytest.mark.parametrize("column", COLUMNS)
+    @pytest.mark.parametrize("is_rotation", [False, True])
+    def test_fixed_columns(self, column, is_rotation):
+        config = SolverConfig()
+        assert _bits(solve_component(column, config, is_rotation=is_rotation)) == _bits(
+            _reference_solve_component(column, config, is_rotation=is_rotation)
+        )
+
+    def test_constant_shortcut_is_counted(self):
+        solver = FunctionSolver()
+        solver.solve_component((5.0, 5.0, 5.0))
+        solver.solve_component((-0.0, 0.0, -0.0), is_rotation=True)
+        solver.solve_component(tuple(1.0 + 1e-4 * i * i for i in range(5)))
+        assert solver.counts["solver_constant_shortcuts"] == 2
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        column=st.one_of(
+            st.lists(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 90.0, 180.0, 1e-4]),
+                min_size=1,
+                max_size=9,
+            ),
+            st.lists(
+                st.floats(min_value=-400, max_value=400, allow_nan=False, width=32),
+                min_size=1,
+                max_size=9,
+            ),
+            st.builds(
+                lambda a, b, c, scale, count, noise: [
+                    scale * (a * i * i + b * i) + c + noise * (-1) ** i for i in range(count)
+                ],
+                st.integers(-3, 3),
+                st.integers(-60, 60),
+                st.integers(-360, 360),
+                st.sampled_from([1.0, 1e-4, 2e-5]),
+                st.integers(1, 10),
+                st.sampled_from([0.0, 2e-4, 6e-4, 3e-3]),
+            ),
+        ),
+        is_rotation=st.booleans(),
+    )
+    def test_generated_columns(self, column, is_rotation):
+        config = SolverConfig()
+        assert _bits(solve_component(column, config, is_rotation=is_rotation)) == _bits(
+            _reference_solve_component(column, config, is_rotation=is_rotation)
+        )
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            (0.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0),
+            tuple(2.0 + 3.0 * math.sin(math.radians(60 * i)) for i in range(7)),
+            tuple(math.sin(math.radians(50 * i + 10)) for i in range(9)),
+            (1.0, 17.0, 2.0, 23.0, 3.0, 31.0, 4.0),
+        ],
+    )
+    def test_memoized_sinusoid_fit_equals_unmemoized(self, monkeypatch, column):
+        frequencies = []
+        original = trig._solve_fixed_frequency
+
+        def counted(indices, values, frequency):
+            frequencies.append(frequency)
+            return original(indices, values, frequency)
+
+        monkeypatch.setattr(trig, "_solve_fixed_frequency", counted)
+        tally = Counter()
+        memoized = fit_sinusoid(column, EPSILON, tally=tally)
+        solved = list(frequencies)
+        assert memoized == _reference_fit_sinusoid(column, EPSILON)
+        # Each frequency is solved once per call, and the tally counts them.
+        assert len(solved) == len(set(solved)) == tally["frequency_solves"]
+        assert len(frequencies) - len(solved) > len(solved)
+
+
+def _spelled(term):
+    """A term with every numeric literal spelled with its type and sign."""
+    return (repr(term.op), tuple(_spelled(child) for child in term.children))
+
+
+class TestRenderMemo:
+    @pytest.mark.parametrize(
+        "form, signed",
+        [
+            (ConstantForm(0.0), ConstantForm(-0.0)),
+            (LinearForm(0.0, 2.0), LinearForm(-0.0, 2.0)),
+            (LinearForm(2.0, 0.0), LinearForm(2.0, -0.0)),
+            (QuadraticForm(0.0, 1.0, 0.0), QuadraticForm(-0.0, 1.0, -0.0)),
+            (RotationForm(6, 0, 0.0), RotationForm(6, 0, -0.0)),
+            (SinusoidForm(1.0, 90.0, 0.0, 0.0), SinusoidForm(1.0, 90.0, -0.0, -0.0)),
+            (MultilinearForm((0.0, 1.0), 0.0), MultilinearForm((-0.0, 1.0), -0.0)),
+        ],
+    )
+    def test_equal_forms_render_alike(self, form, signed):
+        # -0.0 == 0.0, so these share a memo entry: they must render alike.
+        index = (Term("i"), Term("j")) if isinstance(form, MultilinearForm) else Term("i")
+        assert form == signed and hash(form) == hash(signed)
+        assert _spelled(form.to_term(index)) == _spelled(signed.to_term(index))
+        solver = FunctionSolver()
+        first = solver.render(form, index)
+        assert solver.render(signed, index) is first
+        assert solver.counts["render_memo_hits"] == 1
+
+    def test_index_is_part_of_the_key(self):
+        solver = FunctionSolver()
+        form = LinearForm(2.0, 1.0)
+        assert solver.render(form, Term("i")) != solver.render(form, Term("j"))
+        assert solver.counts["render_memo_hits"] == 0
 
 
 class TestMultilinear:
